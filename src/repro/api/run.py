@@ -234,20 +234,11 @@ def _execute(spec: ExperimentSpec, provenance: Provenance, jobs: int,
              shard_size: Optional[int] = None) -> Result:
     """Run a validated spec (the cache-miss path of :func:`run`).
 
-    A :class:`~repro.faults.plan.FaultPlan` on the spec is activated
-    for the duration of the execution (:func:`repro.faults.fault_scope`)
-    so the injection sites along the fleet paths see it; with no plan
-    (or all-zero rates) the scope is a no-op.
+    Callers hold the spec's :func:`repro.faults.fault_scope` around
+    this call (:func:`run` and
+    :func:`repro.service.worker.execute_job`), so the injection sites
+    along the fleet paths see its plan.
     """
-    from repro.faults import fault_scope
-    with fault_scope(spec.faults):
-        return _execute_body(spec, provenance, jobs, mp_context,
-                             shard_size)
-
-
-def _execute_body(spec: ExperimentSpec, provenance: Provenance,
-                  jobs: int, mp_context: Optional[str],
-                  shard_size: Optional[int] = None) -> Result:
     from repro.experiments.runner import ParallelRunner
     if spec.kind in ("single", "sweep"):
         runner = ParallelRunner(jobs=jobs, mp_context=mp_context)

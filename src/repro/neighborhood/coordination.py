@@ -377,12 +377,13 @@ class FeederPlane:
     full :class:`HomeItem` every round; at fleet scale (N≥500) that
     all-to-all merge was O(N³) per sweep and dominated the whole run.
     Because IdealCP delivery is loss-free, every gateway's merged view is
-    simply "each home's latest claim", so :meth:`run_round` now evolves
-    that shared state directly — same claim sequence bit for bit (the
-    per-home rolled envelopes are cached and re-summed in home order at
-    every claim, never incrementally updated, so no float drift) — and
-    :func:`negotiate_offsets` accounts the identical
-    :class:`~repro.st.rounds.CpStats` the driver produced.
+    simply "each home's latest claim", so :meth:`run_round` evolves that
+    shared state directly and :func:`negotiate_offsets` accounts the
+    identical :class:`~repro.st.rounds.CpStats` the driver produced.
+    The state is one dense ``(n, bins)`` matrix of envelopes rolled by
+    their claims, rows in home order; every claim re-folds the other
+    rows left to right from +0.0 (see :meth:`_combined_others`), never
+    an incremental update, so the claim sequence carries no float drift.
     :class:`HomeItem` remains the wire format the stats meter airtime
     against.
     """
@@ -395,18 +396,25 @@ class FeederPlane:
             raise ValueError(f"need >= 1 candidate shift, got {shifts}")
         self.home_ids = list(home_ids)
         self.shifts = shifts
-        self._envelopes = {home: np.asarray(envelopes[home], dtype=float)
-                           for home in self.home_ids}
+        self._row = {home: row for row, home in enumerate(self.home_ids)}
         #: seeded claims carry a previous epoch's negotiation state into
         #: an online re-negotiation (:func:`renegotiate_offsets`)
         self.claims: dict[int, int] = (
             {home: 0 for home in self.home_ids} if claims is None
             else {home: int(claims[home]) for home in self.home_ids})
-        #: each home's envelope rolled by its current claim — what the
-        #: other gateways' merged views hold for it
-        self._rolled = {home: np.roll(self._envelopes[home],
-                                      self.claims[home])
-                        for home in self.home_ids}
+        bins = len(envelopes[self.home_ids[0]]) if self.home_ids else 0
+        self._envelopes = np.zeros((len(self.home_ids), bins), dtype=float)
+        #: row ``r``: home ``r``'s envelope rolled by its current claim —
+        #: what the other gateways' merged views hold for it
+        self._rolled = np.zeros_like(self._envelopes)
+        for row, home in enumerate(self.home_ids):
+            self._envelopes[row] = envelopes[home]
+            self._rolled[row] = np.roll(self._envelopes[row],
+                                        self.claims[home])
+        #: ``envelope[_circulant[s]] == np.roll(envelope, s)``: every
+        #: candidate shift gathered in one call
+        self._circulant = (np.arange(bins)
+                           - np.arange(shifts)[:, None]) % bins
         self.sweep_changed = False
 
     def update_envelope(self, node: int,
@@ -417,13 +425,13 @@ class FeederPlane:
         predicted envelope changed announces the new one; its claimed
         shift stands until a later claim round moves it.
         """
-        self._envelopes[node] = np.asarray(envelope, dtype=float)
-        self._rolled[node] = np.roll(self._envelopes[node],
-                                     self.claims[node])
+        row = self._row[node]
+        self._envelopes[row] = envelope
+        self._rolled[row] = np.roll(self._envelopes[row], self.claims[node])
 
     def item(self, node: int) -> HomeItem:
         """The gateway's current :class:`HomeItem` (the wire form)."""
-        envelope = self._envelopes[node]
+        envelope = self._envelopes[self._row[node]]
         return HomeItem(home_id=node, version=1, shift=self.claims[node],
                         envelope=tuple(envelope),
                         peak_w=float(envelope.max(initial=0.0)))
@@ -436,20 +444,27 @@ class FeederPlane:
         """Give ``token`` the claim round: re-pick its phase offset."""
         best = self._best_shift(token)
         if best != self.claims[token]:
+            row = self._row[token]
             self.claims[token] = best
-            self._rolled[token] = np.roll(self._envelopes[token], best)
+            self._rolled[row] = np.roll(self._envelopes[row], best)
             self.sweep_changed = True
 
     # -- the claim rule ----------------------------------------------------------
 
     def _combined_others(self, node: int) -> np.ndarray:
-        """Projected feeder load per bin from everyone else's claims."""
-        combined = np.zeros(len(self._envelopes[node]), dtype=float)
-        for home in self.home_ids:
-            if home == node:
-                continue
-            combined += self._rolled[home]
-        return combined
+        """Projected feeder load per bin from everyone else's claims.
+
+        A strictly left-to-right fold, from +0.0, over the other rows in
+        home order: ``np.add.accumulate`` over a zero-led stack, the
+        per-home ``+=`` loop's exact bits.  Never ``np.sum`` or
+        ``np.add.reduce``: NumPy sums a contiguous axis pairwise — with
+        one bin, the home axis — and that regrouping changes the bits
+        the candidate peaks are compared on.
+        """
+        row = self._row[node]
+        stack = np.concatenate((np.zeros((1, self._rolled.shape[1])),
+                                self._rolled[:row], self._rolled[row + 1:]))
+        return np.add.accumulate(stack, axis=0, out=stack)[-1]
 
     def _best_shift(self, node: int) -> int:
         """Least-peak phase for ``node`` given the others, stagger-style.
@@ -459,18 +474,14 @@ class FeederPlane:
         claim when it ties (stability — only strict improvements move),
         (3) the earliest phase.
         """
-        combined = self._combined_others(node)
-        envelope = self._envelopes[node]
+        envelope = self._envelopes[self._row[node]]
+        peaks = (self._combined_others(node)
+                 + envelope[self._circulant]).max(axis=1)
+        tied = peaks <= float(peaks.min()) + 1e-9
         current = self.claims[node]
-        rolled = np.stack([np.roll(envelope, s)
-                           for s in range(self.shifts)])
-        peaks = (combined[None, :] + rolled).max(axis=1)
-        floor = float(peaks.min())
-        candidates = [s for s in range(self.shifts)
-                      if peaks[s] <= floor + 1e-9]
-        if current in candidates:
+        if 0 <= current < self.shifts and tied[current]:
             return current
-        return candidates[0]
+        return int(np.argmax(tied))
 
 
 def negotiate_offsets(home_ids: Sequence[int],

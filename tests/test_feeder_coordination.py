@@ -11,16 +11,22 @@ The golden uplift lock follows the policy in ``docs/regression-policy.md``.
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.neighborhood import (
     FeederConfig,
+    FeederPlane,
     build_fleet,
     negotiate_offsets,
     phase_envelope,
+    renegotiate_offsets,
     rotate_series,
     execute_fleet,
 )
+from repro.neighborhood import coordination
 from repro.sim.monitor import StepSeries
 from repro.sim.units import MINUTE
 
@@ -143,6 +149,143 @@ def test_negotiation_converges_and_stops():
     # should notice within two sweeps.
     assert claims == {0: 0, 1: 0}
     assert sweeps <= 2
+
+
+class ReferencePlane:
+    """The claim kernel as a per-home loop: the equivalence reference.
+
+    Same claim rule as :class:`FeederPlane`, written the plain way —
+    one rolled array per home in a dict, the others' load folded with
+    one ``+=`` per home in home order, one ``np.roll`` per candidate
+    shift.  :class:`FeederPlane` must reproduce it bit for bit.
+    """
+
+    def __init__(self, home_ids, envelopes, shifts, claims=None):
+        self.home_ids = list(home_ids)
+        self.shifts = shifts
+        self.envelopes = {home: np.asarray(envelopes[home], dtype=float)
+                          for home in self.home_ids}
+        self.claims = ({home: 0 for home in self.home_ids}
+                       if claims is None
+                       else {home: int(claims[home])
+                             for home in self.home_ids})
+        self.rolled = {home: np.roll(self.envelopes[home],
+                                     self.claims[home])
+                       for home in self.home_ids}
+        self.sweep_changed = False
+
+    def update_envelope(self, node, envelope):
+        self.envelopes[node] = np.asarray(envelope, dtype=float)
+        self.rolled[node] = np.roll(self.envelopes[node], self.claims[node])
+
+    def run_round(self, round_index):
+        self.reclaim(self.home_ids[round_index % len(self.home_ids)])
+
+    def reclaim(self, token):
+        best = self.best_shift(token)
+        if best != self.claims[token]:
+            self.claims[token] = best
+            self.rolled[token] = np.roll(self.envelopes[token], best)
+            self.sweep_changed = True
+
+    def combined_others(self, node):
+        combined = np.zeros(len(self.envelopes[node]), dtype=float)
+        for home in self.home_ids:
+            if home != node:
+                combined += self.rolled[home]
+        return combined
+
+    def best_shift(self, node):
+        combined = self.combined_others(node)
+        envelope = self.envelopes[node]
+        rolled = np.stack([np.roll(envelope, s) for s in range(self.shifts)])
+        peaks = (combined[None, :] + rolled).max(axis=1)
+        floor = float(peaks.min())
+        candidates = [s for s in range(self.shifts)
+                      if peaks[s] <= floor + 1e-9]
+        if self.claims[node] in candidates:
+            return self.claims[node]
+        return candidates[0]
+
+
+def wide_envelopes(seed, n, bins, quantized=False):
+    """Envelopes whose home magnitudes span 1e0..1e8 in one plane.
+
+    Wide magnitudes make the float sum depend on how it is grouped;
+    ``quantized`` draws a few levels per home instead, so projected
+    peaks tie and the claim rule's tie-breaks get exercised.
+    """
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(0.0, 8.0, size=(n, 1))
+    shape = rng.integers(0, 4, size=(n, bins)) if quantized \
+        else rng.uniform(0.0, 1.0, size=(n, bins))
+    return {home: tuple(row.tolist())
+            for home, row in enumerate(shape * scale)}
+
+
+def reference_negotiate(home_ids, envelopes, shifts, config):
+    """:func:`negotiate_offsets` driven through :class:`ReferencePlane`."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coordination, "FeederPlane", ReferencePlane)
+        return negotiate_offsets(home_ids, envelopes, shifts, config)
+
+
+def assert_same_combined(plane, reference):
+    """Every home's projected others-load carries identical bits."""
+    for home in reference.home_ids:
+        assert (plane._combined_others(home).tobytes()
+                == reference.combined_others(home).tobytes()), home
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 300),
+       bins=st.integers(1, 16), shift_frac=st.floats(0.0, 1.0),
+       quantized=st.booleans(), changed_frac=st.floats(0.0, 1.0))
+@example(seed=3, n=300, bins=1, shift_frac=1.0, quantized=False,
+         changed_frac=0.5)
+@example(seed=4, n=120, bins=12, shift_frac=1.0, quantized=True,
+         changed_frac=0.2)
+def test_claim_kernel_matches_per_home_reference(seed, n, bins, shift_frac,
+                                                 quantized, changed_frac):
+    """Cold negotiation, then a seeded re-negotiation after envelope
+    updates: claims, CP stats, sweeps and every projected load are
+    exactly the per-home reference's."""
+    shifts = max(1, round(shift_frac * bins))
+    config = FeederConfig()
+    home_ids = list(range(n))
+    envelopes = wide_envelopes(seed, n, bins, quantized)
+    cold = negotiate_offsets(home_ids, envelopes, shifts, config)
+    assert cold == reference_negotiate(home_ids, envelopes, shifts, config)
+
+    claims = cold[0]
+    plane = FeederPlane(home_ids, envelopes, shifts, claims=claims)
+    reference = ReferencePlane(home_ids, envelopes, shifts, claims=claims)
+    fresh = wide_envelopes(seed + 1, n, bins, quantized)
+    changed = home_ids[::max(1, round(1 / max(changed_frac, 1e-3)))]
+    for home in changed:
+        plane.update_envelope(home, fresh[home])
+        reference.update_envelope(home, fresh[home])
+    assert_same_combined(plane, reference)
+    assert (renegotiate_offsets(plane, changed, config)
+            == renegotiate_offsets(reference, changed, config))
+    assert_same_combined(plane, reference)
+
+
+def test_one_bin_fold_is_sequential_not_pairwise():
+    """Why the kernel folds with ``np.add.accumulate``: on a one-bin
+    plane ``np.add.reduce`` sums pairwise, and with wide magnitudes
+    that regrouping changes the bits the per-home loop produces."""
+    n = 300
+    envelopes = wide_envelopes(3, n, 1)
+    plane = FeederPlane(list(range(n)), envelopes, 1)
+    reference = ReferencePlane(list(range(n)), envelopes, 1)
+    rolled = np.array([envelopes[home] for home in range(n)])
+    pairwise_differs = any(
+        np.add.reduce(np.delete(rolled, home, axis=0), axis=0).tobytes()
+        != reference.combined_others(home).tobytes()
+        for home in range(n))
+    assert pairwise_differs
+    assert_same_combined(plane, reference)
 
 
 # -- conservation invariants on a real fleet ----------------------------------
