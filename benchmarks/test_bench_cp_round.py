@@ -5,12 +5,15 @@ items with every other DI well inside the 2 s period, with >99% delivery,
 microsecond sync and a single-digit-mJ energy bill.
 """
 
+import itertools
+
 import pytest
 
 from repro.experiments import trace_cp
 from repro.radio import FloodMedium, flocklab26
 from repro.sim import RandomStreams
-from repro.st import GlossyConfig, MiniCast, run_flood
+from repro.st import GlossyConfig, MiniCast, SampledCP, run_flood
+from repro.st.rounds import CALIBRATION_STATS, reset_calibration_memo
 
 
 @pytest.mark.benchmark(group="cp")
@@ -62,3 +65,33 @@ def test_minicast_round_speed(benchmark):
     nodes = list(range(26))
     outcome = benchmark(lambda: minicast.run_round(nodes))
     assert outcome.delivery_ratio(nodes) > 0.98
+
+
+@pytest.mark.benchmark(group="cp")
+@pytest.mark.parametrize("case", ["cold", "warm"])
+def test_calibration_speed(benchmark, case):
+    """Microbench: one 26-node, 20-round CP calibration (the HanSystem
+    default) on a new radio per round — ``cold`` on distinct seeds, so
+    every call measures; ``warm`` on one seed, so every call is a memo
+    hit."""
+    reset_calibration_memo()
+    seeds = itertools.count(100) if case == "cold" else itertools.repeat(1)
+    nodes = list(range(26))
+    if case == "warm":
+        SampledCP.calibrate(_medium(1), nodes, rounds=20)
+    baseline = dict(CALIBRATION_STATS)
+
+    def fresh_radio():
+        return (_medium(next(seeds)), nodes), {"rounds": 20}
+
+    calibration = benchmark.pedantic(SampledCP.calibrate, setup=fresh_radio,
+                                     rounds=5, iterations=1)
+    hits = CALIBRATION_STATS["hits"] - baseline["hits"]
+    misses = CALIBRATION_STATS["misses"] - baseline["misses"]
+    assert (hits, misses) == ((0, 5) if case == "cold" else (5, 0))
+    assert calibration.mean_delivery > 0.98
+    benchmark.extra_info["memo_hits"] = hits
+    benchmark.extra_info["memo_misses"] = misses
+    benchmark.extra_info["mean_delivery"] = round(
+        calibration.mean_delivery, 4)
+    reset_calibration_memo()

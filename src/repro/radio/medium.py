@@ -42,26 +42,44 @@ class FloodMedium:
         """
         if not senders:
             return 0.0
-        combined_mw = self.channel.combined_rx_power_mw(receiver, senders)
+        return self._decode_probability(
+            self.channel.combined_rx_power_mw(receiver, senders),
+            len(senders), psdu_bytes)
+
+    def _decode_probability(self, combined_mw: float, n_senders: int,
+                            psdu_bytes: int) -> float:
+        """The reception model proper, on an already combined power."""
         if combined_mw <= 0.0:
             return 0.0
+        config = self.channel.config
         combined_dbm = mw_to_dbm(combined_mw)
-        if combined_dbm < self.channel.config.sensitivity_dbm:
+        if combined_dbm < config.sensitivity_dbm:
             return 0.0  # below the radio's synchronisation threshold
-        snr_db = combined_dbm - self.channel.config.noise_floor_dbm
-        base = prr_from_sinr(snr_db, psdu_bytes)
-        derating = self.channel.config.ci_derating ** (len(senders) - 1)
-        return base * derating
+        base = prr_from_sinr(combined_dbm - config.noise_floor_dbm,
+                             psdu_bytes)
+        return base * config.ci_derating ** (n_senders - 1)
 
     def flood_slot(self, senders: Sequence[int], listeners: Iterable[int],
                    psdu_bytes: int) -> set[int]:
-        """Simulate one slot; returns the listeners that decoded the packet."""
-        received: set[int] = set()
-        for listener in listeners:
-            p = self.reception_probability(listener, senders, psdu_bytes)
-            if p > 0.0 and self.rng.random() < p:
-                received.add(listener)
-        return received
+        """Simulate one slot; returns the listeners that decoded the packet.
+
+        Bit-identical to one :meth:`reception_probability` and one scalar
+        ``rng.random()`` per listener with ``p > 0``: sender rows add in
+        sender order, as ``sum`` does; the dB transform stays scalar, as
+        NumPy's ``log10`` and ``round`` need not match ``math``'s bits.
+        """
+        senders, listeners = list(senders), list(listeners)
+        if not senders:
+            return set()
+        rows = self.channel._rx_power_mw[:, listeners][senders]
+        combined = np.add.accumulate(rows)[-1].tolist()
+        live = []
+        for listener, mw in zip(listeners, combined):
+            p = self._decode_probability(mw, len(senders), psdu_bytes)
+            if p > 0.0:
+                live.append((listener, p))
+        draws = self.rng.random(len(live)).tolist()  # = k scalar draws
+        return {listener for (listener, p), u in zip(live, draws) if u < p}
 
 
 @dataclass

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -274,7 +275,10 @@ class JobQueue:
         record = JobRecord(job_id=job_id, name=spec.name, kind=spec.kind,
                            spec_data=spec.to_dict(), submitted=stamp)
         self._mkdirs()
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        # Per thread, not just per process: submit takes no lock, and
+        # threads of one client sharing a temp file unlink each other's.
+        tmp = path.with_name(
+            f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         tmp.write_text(json.dumps(self._job_to(record), indent=1,
                                   sort_keys=True))
         try:

@@ -8,7 +8,9 @@ that every DI holds every device's status and every pending user request
   round); the ground truth, used by protocol tests and microbenches.
 * :class:`SampledCP` — per-round delivery sampled from a matrix *calibrated
   against the slot-level model* on the same topology; the default for the
-  350-minute load experiments.
+  350-minute load experiments.  Calibrations are memoised per process on
+  their exact inputs, so a sweep calibrates once per radio: rate and
+  policy never reach it.
 * :class:`IdealCP` — loss-free instantaneous sharing, for pure-algorithm
   unit tests.
 
@@ -18,6 +20,8 @@ state* (idempotent), so a missed delivery is healed by any later round.
 
 from __future__ import annotations
 
+import hashlib
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Protocol, Sequence
 
@@ -32,6 +36,23 @@ from repro.st.sync import SyncService
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
+
+
+#: Calibrations (with the flood Generator's state after each) by a digest
+#: of power matrix, radio config, nodes, MiniCast config, rounds and
+#: Generator state; least recently used first.
+_CALIBRATIONS: "OrderedDict[bytes, tuple[CpCalibration, dict]]" = \
+    OrderedDict()
+_CALIBRATIONS_MAX = 64
+#: memo counters, for tests and the CP benchmarks
+CALIBRATION_STATS = {"hits": 0, "misses": 0}
+
+
+def reset_calibration_memo() -> None:
+    """Drop the calibration memo and its counters (tests/benchmarks)."""
+    _CALIBRATIONS.clear()
+    for key in CALIBRATION_STATS:
+        CALIBRATION_STATS[key] = 0
 
 
 class CpApplication(Protocol):
@@ -272,9 +293,28 @@ class SampledCP(_CpBase):
     def calibrate(medium: FloodMedium, nodes: Sequence[int],
                   minicast_config: Optional[MiniCastConfig] = None,
                   rounds: int = 30) -> "CpCalibration":
-        """Measure delivery probabilities with the slot-level model."""
+        """Measure delivery probabilities with the slot-level model.
+
+        Memoised per process (exact :class:`FloodMedium` only) on every
+        input the measurement reads; a hit also restores the Generator's
+        post-calibration state, so hits and fresh runs are identical.
+        """
         minicast = MiniCast(medium, minicast_config)
         ordered = sorted(nodes)
+        rng = medium.rng
+        key = None
+        if type(medium) is FloodMedium:
+            power = medium.channel._rx_power_mw
+            key = hashlib.sha256(power.tobytes() + repr((
+                power.shape, medium.channel.config, ordered,
+                minicast.config, rounds,
+                rng.bit_generator.state)).encode()).digest()
+            cached = _CALIBRATIONS.get(key)
+            if cached is not None:
+                _CALIBRATIONS.move_to_end(key)
+                CALIBRATION_STATS["hits"] += 1
+                calibration, rng.bit_generator.state = cached
+                return calibration
         n = len(ordered)
         index = {node: i for i, node in enumerate(ordered)}
         hits = np.zeros((n, n))
@@ -288,16 +328,23 @@ class SampledCP(_CpBase):
                     hits[index[origin], index[receiver]] += 1
         prob = hits / rounds
         np.fill_diagonal(prob, 1.0)
+        prob.setflags(write=False)
         mean_energy = float(np.mean(
             [m.energy_joules() for m in energy.values()])) / rounds
-        return CpCalibration(delivery_prob=prob,
-                             round_duration=total_duration / rounds,
-                             round_energy_j=mean_energy)
+        calibration = CpCalibration(delivery_prob=prob,
+                                    round_duration=total_duration / rounds,
+                                    round_energy_j=mean_energy)
+        if key is not None:
+            CALIBRATION_STATS["misses"] += 1
+            _CALIBRATIONS[key] = (calibration, rng.bit_generator.state)
+            if len(_CALIBRATIONS) > _CALIBRATIONS_MAX:
+                _CALIBRATIONS.popitem(last=False)
+        return calibration
 
 
-@dataclass
+@dataclass(frozen=True)
 class CpCalibration:
-    """Output of :meth:`SampledCP.calibrate`."""
+    """Output of :meth:`SampledCP.calibrate` (shared by memo hits)."""
 
     delivery_prob: np.ndarray
     round_duration: float

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.radio import Channel, CsmaMedium, FloodMedium, Frame
+from repro.radio import Channel, CsmaMedium, FloodMedium, Frame, RadioConfig
+from repro.radio.channel import mw_to_dbm, prr_from_sinr
 from repro.radio.packet import BROADCAST
 from repro.sim import RandomStreams, Simulator
 
@@ -65,6 +68,75 @@ def test_flood_slot_returns_receivers(streams):
     medium = FloodMedium(channel, streams.stream("f"))
     received = medium.flood_slot([0], [1, 2], 40)
     assert 1 in received  # 10 m: essentially certain
+
+
+def reference_flood_slot(medium, senders, listeners, psdu_bytes):
+    """The per-listener loop ``flood_slot`` replaced, kept as the oracle:
+    a scalar power sum, the scalar dB transform and one scalar draw per
+    listener with ``p > 0``."""
+    config = medium.channel.config
+    received = set()
+    for listener in listeners:
+        p = 0.0
+        combined_mw = medium.channel.combined_rx_power_mw(listener, senders)
+        if senders and combined_mw > 0.0:
+            combined_dbm = mw_to_dbm(combined_mw)
+            if combined_dbm >= config.sensitivity_dbm:
+                p = prr_from_sinr(combined_dbm - config.noise_floor_dbm,
+                                  psdu_bytes) \
+                    * config.ci_derating ** (len(senders) - 1)
+        assert medium.reception_probability(listener, senders,
+                                            psdu_bytes) == p
+        if p > 0.0 and medium.rng.random() < p:
+            received.add(listener)
+    return received
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
+       n=st.integers(2, 14), span_m=st.sampled_from([20.0, 60.0, 150.0]),
+       shadowing=st.sampled_from([0.0, 3.0]),
+       derating=st.sampled_from([1.0, 0.985, 0.5]),
+       psdu_bytes=st.integers(5, 127))
+def test_flood_slot_matches_per_listener_reference(
+        data, seed, n, span_m, shadowing, derating, psdu_bytes):
+    """The vectorised slot decodes the same listeners and leaves the
+    Generator in the same state as the per-listener scalar loop, for
+    channels with out-of-range nodes, any sender order and duplicate,
+    shuffled or empty listener lists."""
+    rng = np.random.default_rng(seed)
+    channel = Channel(rng.uniform(0.0, span_m, size=(n, 2)),
+                      config=RadioConfig(ci_derating=derating),
+                      shadowing_sigma_db=shadowing, rng=rng)
+    senders = data.draw(st.permutations(range(n)).flatmap(
+        lambda order: st.integers(1, n).map(lambda k: order[:k])))
+    listeners = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    fast = FloodMedium(channel, np.random.default_rng(seed + 1))
+    slow = FloodMedium(channel, np.random.default_rng(seed + 1))
+    powers = []  # the kernel's combined powers, as the model sees them
+    decode = fast._decode_probability
+
+    def recording_decode(combined_mw, n_senders, size):
+        powers.append(combined_mw)
+        return decode(combined_mw, n_senders, size)
+
+    fast._decode_probability = recording_decode
+    for _ in range(3):  # consecutive slots share the Generator
+        assert fast.flood_slot(senders, listeners, psdu_bytes) == \
+            reference_flood_slot(slow, senders, listeners, psdu_bytes)
+        assert fast.rng.bit_generator.state == slow.rng.bit_generator.state
+    # Bit for bit the scalar sum, so sender order is respected exactly.
+    assert powers == 3 * [channel.combined_rx_power_mw(listener, senders)
+                          for listener in listeners]
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 64])
+def test_vector_draw_consumes_generator_like_scalar_draws(k):
+    """``flood_slot`` relies on ``random(k)`` being k ``random()`` calls."""
+    vector = RandomStreams(4).stream("floods")
+    scalar = RandomStreams(4).stream("floods")
+    assert vector.random(k).tolist() == [scalar.random() for _ in range(k)]
+    assert vector.bit_generator.state == scalar.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

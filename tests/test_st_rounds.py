@@ -1,11 +1,31 @@
 """Communication-Plane drivers: Ideal, Sampled (calibrated), SlotLevel."""
 
+import hashlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.radio import DriftingClock, EnergyMeter, FloodMedium, flocklab26
+from repro.radio import (
+    DriftingClock,
+    EnergyMeter,
+    FloodMedium,
+    RadioConfig,
+    flocklab26,
+)
 from repro.sim import RandomStreams, Simulator
-from repro.st import IdealCP, SampledCP, SlotLevelCP
+from repro.st import (
+    GlossyConfig,
+    IdealCP,
+    MiniCastConfig,
+    SampledCP,
+    SlotLevelCP,
+)
+from repro.st import rounds as cp_rounds
 
 
 class ScriptedApp:
@@ -185,3 +205,144 @@ def test_slot_level_cp_single_node_noop():
     cp.start()
     sim.run(until=5.0)
     assert app.deliveries == []
+
+
+# ---------------------------------------------------------------------------
+# Calibration memo
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def fresh_memo():
+    cp_rounds.reset_calibration_memo()
+    yield cp_rounds.CALIBRATION_STATS
+    cp_rounds.reset_calibration_memo()
+
+
+def _calibration_input(seed=3, config=None, nodes=range(8), minicast=None,
+                       rounds=2, advance=0):
+    streams = RandomStreams(seed)
+    channel = flocklab26().make_channel(
+        rng=streams.stream("channel"),
+        config=config or RadioConfig())
+    medium = FloodMedium(channel, streams.stream("floods"))
+    medium.rng.random(advance)
+    return medium, list(nodes), minicast, rounds
+
+
+def _same_calibration(a, b):
+    return (np.array_equal(a.delivery_prob, b.delivery_prob)
+            and a.round_duration == b.round_duration
+            and a.round_energy_j == b.round_energy_j)
+
+
+def test_calibration_memo_hit_equals_fresh_calibration(fresh_memo):
+    first = _calibration_input()
+    fresh = SampledCP.calibrate(*first)
+    fresh_state = first[0].rng.bit_generator.state
+    assert fresh_memo == {"hits": 0, "misses": 1}
+    again = _calibration_input()  # same fresh streams
+    cached = SampledCP.calibrate(*again)
+    assert fresh_memo == {"hits": 1, "misses": 1}
+    assert _same_calibration(cached, fresh)
+    # The Generator ends where the measurement itself would leave it.
+    assert again[0].rng.bit_generator.state == fresh_state
+    assert again[0].rng.random() == first[0].rng.random()
+
+
+@pytest.mark.parametrize("change", [
+    {"seed": 4},                                       # power matrix
+    {"config": RadioConfig(ci_derating=0.9)},          # radio config
+    {"nodes": range(7)},                               # node set
+    {"minicast": MiniCastConfig(aggregation=1)},       # MiniCast config
+    {"minicast": MiniCastConfig(flood=GlossyConfig(n_tx=2))},  # Glossy
+    {"rounds": 3},                                     # rounds
+    {"advance": 1},                                    # Generator state
+], ids=["power", "radio", "nodes", "minicast", "glossy", "rounds", "rng"])
+def test_calibration_memo_misses_on_any_input_change(fresh_memo, change):
+    SampledCP.calibrate(*_calibration_input())
+    changed = _calibration_input(**change)
+    calibration = SampledCP.calibrate(*changed)
+    assert fresh_memo == {"hits": 0, "misses": 2}
+    # ... and the miss measured its own inputs, not the cached ones.
+    cp_rounds.reset_calibration_memo()
+    alone = _calibration_input(**change)
+    assert _same_calibration(calibration, SampledCP.calibrate(*alone))
+    assert (changed[0].rng.bit_generator.state
+            == alone[0].rng.bit_generator.state)
+
+
+def test_calibration_memo_skips_medium_subclasses(fresh_memo):
+    class TracedMedium(FloodMedium):
+        pass
+
+    for _ in range(2):
+        medium, nodes, minicast, rounds = _calibration_input()
+        SampledCP.calibrate(TracedMedium(medium.channel, medium.rng),
+                            nodes, minicast, rounds)
+    assert fresh_memo == {"hits": 0, "misses": 0}
+
+
+def test_calibrated_delivery_matrix_is_read_only(fresh_memo):
+    for _ in range(2):  # the miss and the hit
+        calibration = SampledCP.calibrate(*_calibration_input())
+        with pytest.raises(ValueError):
+            calibration.delivery_prob[0, 1] = 0.5
+
+
+def test_calibration_memo_is_a_bounded_lru(fresh_memo):
+    limit = cp_rounds._CALIBRATIONS_MAX
+
+    def calibrate(advance):
+        SampledCP.calibrate(*_calibration_input(
+            nodes=range(3), rounds=1, advance=advance))
+
+    for advance in range(limit):
+        calibrate(advance)
+    calibrate(0)  # hit: the oldest entry becomes the most recent
+    calibrate(limit)  # miss: evicts entry 1, now the least recent
+    assert len(cp_rounds._CALIBRATIONS) == limit
+    assert fresh_memo == {"hits": 1, "misses": limit + 1}
+    calibrate(0)
+    assert fresh_memo == {"hits": 2, "misses": limit + 1}
+    calibrate(1)
+    assert fresh_memo == {"hits": 2, "misses": limit + 2}
+    assert len(cp_rounds._CALIBRATIONS) == limit
+
+
+def headline_sweep_digest() -> str:
+    """Digest of every run of the HEADLINE sweep (round CP) at jobs=1."""
+    from repro.api import run
+    from repro.api.spec import ControlSpec, ExperimentSpec, SweepSpec
+    from repro.workloads.scenarios import PAPER_RATES
+    spec = ExperimentSpec(
+        name="headline", kind="sweep",
+        control=ControlSpec(cp_fidelity="round"), seeds=(1, 2, 3, 4, 5),
+        sweep=SweepSpec(rates=tuple(sorted(PAPER_RATES.values()))))
+    hasher = hashlib.sha256()
+    for result in run(spec, jobs=1).runs:
+        calibration = result.cp_calibration
+        hasher.update(np.asarray(result.load_w.times).tobytes())
+        hasher.update(np.asarray(result.load_w.values).tobytes())
+        hasher.update(calibration.delivery_prob.tobytes())
+        hasher.update(repr((calibration.round_duration,
+                            calibration.round_energy_j,
+                            result.cp_stats)).encode())
+    return hasher.hexdigest()
+
+
+def test_headline_sweep_calibrates_once_per_radio(fresh_memo):
+    """30 runs, 5 radios: rate and policy never reach the calibration.
+    A fresh interpreter (empty memo, nothing run before) produces the
+    same bits."""
+    digest = headline_sweep_digest()
+    assert fresh_memo == {"hits": 25, "misses": 5}
+    script = textwrap.dedent("""
+        from tests.test_st_rounds import headline_sweep_digest
+        print(headline_sweep_digest())
+    """)
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(root), str(root / "src")])
+    probe = subprocess.run([sys.executable, "-c", script], env=env,
+                           capture_output=True, text=True, check=True)
+    assert probe.stdout.strip() == digest

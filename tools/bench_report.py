@@ -65,6 +65,13 @@ GROUP_FILES: dict[str, tuple[str, ...]] = {
     "service": ("benchmarks/test_bench_service.py",),
     "online": ("benchmarks/test_bench_online.py",),
     "faults": ("benchmarks/test_bench_faults.py",),
+    "cp": ("benchmarks/test_bench_cp_round.py",),
+    "ablations": ("benchmarks/test_bench_ablation_cp_period.py",
+                  "benchmarks/test_bench_ablation_loss.py",
+                  "benchmarks/test_bench_ablation_scale.py",
+                  "benchmarks/test_bench_ablation_slots.py",
+                  "benchmarks/test_bench_ablation_variants.py",
+                  "benchmarks/test_bench_st_vs_at.py"),
 }
 
 
