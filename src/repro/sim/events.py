@@ -102,6 +102,9 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` time units after creation.
 
+    ``at``, when given, is the exact queued time and ``delay`` must be
+    ``at - now`` (see :meth:`repro.sim.kernel.Simulator.timeout_at`).
+
     Timeouts are the kernel's highest-churn allocation (every process
     wait creates one), so :meth:`repro.sim.kernel.Simulator.timeout`
     recycles processed instances through a free list via :meth:`_reinit`
@@ -110,14 +113,18 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, sim: "Simulator", delay: float, value: object = None):
+    def __init__(self, sim: "Simulator", delay: float, value: object = None,
+                 at: Optional[float] = None):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         super().__init__(sim)
         self.delay = delay
         self._ok = True
         self._value = value
-        sim._schedule(self, delay=delay)
+        if at is None:
+            sim._schedule(self, delay=delay)
+        else:
+            sim._schedule_at(self, at)
 
     def _reinit(self, delay: float, value: object) -> None:
         """Reset a recycled instance to freshly-constructed state.

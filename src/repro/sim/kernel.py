@@ -91,6 +91,25 @@ class Simulator:
             return event
         return Timeout(self, delay, value)
 
+    def timeout_at(self, when: float, value: object = None) -> Timeout:
+        """Create an event that fires at the absolute time ``when``.
+
+        Queues ``when`` itself: ``now + (when - now)`` does not always
+        round back to ``when`` (periods such as 0.3 are inexact), so a
+        process stepping a grid by repeated addition of its period
+        lands on exactly the instants its own arithmetic produced.
+        """
+        delay = when - self._now
+        if delay < 0:
+            raise ValueError(f"time {when} lies in the past (now={self._now})")
+        pool = self._timeout_pool
+        if pool:
+            event = pool.pop()
+            event._reinit(delay, value)
+            self._schedule_at(event, when)
+            return event
+        return Timeout(self, delay, value, at=when)
+
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event firing once every event in ``events`` has fired."""
         return AllOf(self, events)
@@ -114,6 +133,11 @@ class Simulator:
         """Insert a triggered event into the queue (kernel internal)."""
         heapq.heappush(self._queue,
                        (self._now + delay, priority, next(self._seq), event))
+
+    def _schedule_at(self, event: Event, when: float,
+                     priority: int = PRIORITY_NORMAL) -> None:
+        """Insert a triggered event at the absolute time ``when``."""
+        heapq.heappush(self._queue, (when, priority, next(self._seq), event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""

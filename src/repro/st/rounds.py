@@ -16,6 +16,15 @@ that every DI holds every device's status and every pending user request
 
 Applications implement :class:`CpApplication`; payloads are *full current
 state* (idempotent), so a missed delivery is healed by any later round.
+
+Rounds sit on a fixed grid (``period`` apart), but the Ideal and Sampled
+drivers only *run* the rounds that can matter.  Most rounds are quiet:
+no node has anything new.  When the application names its pending nodes
+(``cp_pending_nodes``) and none is pending after a quiet round, the
+quiet rounds before the next queued simulator event are counted in
+:class:`CpStats` without being scheduled (see :meth:`_CpBase._run`);
+outputs, statistics and random draws are the same as with one timeout
+per round.
 """
 
 from __future__ import annotations
@@ -37,6 +46,8 @@ from repro.st.sync import SyncService
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
 
+
+_INF = float("inf")
 
 #: Calibrations (with the flood Generator's state after each) by a digest
 #: of power matrix, radio config, nodes, MiniCast config, rounds and
@@ -112,15 +123,47 @@ class _CpBase:
             self.alive.add(node)
 
     def _run(self):
+        """Run a round on every ``period`` grid instant from the start.
+
+        After a quiet round (nothing shared, no node pending) every
+        round strictly before the next queued event would find the same
+        quiet state, since nothing else runs in between.  Those rounds
+        are only counted, and the process sleeps until the first grid
+        instant at or after that event.  Its timeout takes its sequence
+        number now instead of at the last counted round; no event runs
+        in between, so it still orders after every queued event and
+        before any later one, and ties on that instant resolve exactly
+        as with one timeout per round.
+        """
+        sim = self.sim
+        period = self.period
+        pending = getattr(self.app, "cp_pending_nodes", None)
         while True:
-            self._round()
+            quiet = self._round()
             self.round_index += 1
-            yield self.sim.timeout(self.period)
+            when = sim.now + period
+            if quiet and pending is not None and not pending():
+                # An empty queue (peek() is inf) keeps a single period.
+                horizon = sim.peek()
+                limit = self._quiet_rounds_limit()
+                skipped = 0
+                while when < horizon < _INF and skipped != limit:
+                    when += period
+                    skipped += 1
+                self.round_index += skipped
+                self.stats.rounds_total += skipped
+            yield sim.timeout_at(when)
 
     # -- interface for subclasses ------------------------------------------------
 
-    def _round(self) -> None:
+    def _round(self) -> Optional[bool]:
+        """Run one round; True when it shared nothing (a quiet round)."""
         raise NotImplementedError
+
+    def _quiet_rounds_limit(self) -> Optional[int]:
+        """How many quiet rounds in a row may be counted without running
+        them (None = no bound)."""
+        return None
 
     def _gather_payloads(self) -> dict[int, object]:
         """Fresh payloads this round, keyed by node, in ``nodes`` order.
@@ -128,11 +171,11 @@ class _CpBase:
         When the application can name the nodes that *may* share
         (``cp_pending_nodes``, a conservative superset — see
         :meth:`repro.core.system.HanSystem.cp_pending_nodes`), every
-        other node is skipped without a call: on quiet rounds — the vast
-        majority at CP period 2 s — gathering costs one set lookup
-        instead of one call chain per node.  Behaviour is identical
-        either way, because ``cp_payload`` on a non-pending node returns
-        ``None`` without side effects.
+        other node is skipped without a call, so a quiet round that does
+        run costs one set lookup instead of one call chain per node.
+        (Most quiet rounds never run at all: :meth:`_run` counts them.)
+        Behaviour is identical either way, because ``cp_payload`` on a
+        non-pending node returns ``None`` without side effects.
         """
         payloads = {}
         app = self.app
@@ -161,11 +204,11 @@ class _CpBase:
 class IdealCP(_CpBase):
     """Loss-free, zero-latency all-to-all sharing."""
 
-    def _round(self) -> None:
+    def _round(self) -> bool:
         self.stats.rounds_total += 1
         payloads = self._gather_payloads()
         if not payloads:
-            return
+            return True
         self.stats.rounds_active += 1
         for node in self.nodes:
             if node not in self.alive:
@@ -173,6 +216,7 @@ class IdealCP(_CpBase):
             packets = {origin: p for origin, p in payloads.items()}
             self.stats.deliveries += len(packets)
             self.app.cp_deliver(node, packets, self.round_index)
+        return False
 
 
 class SlotLevelCP(_CpBase):
@@ -251,12 +295,12 @@ class SampledCP(_CpBase):
         self._index = {node: i for i, node in enumerate(nodes)}
         self._had_miss = False
 
-    def _round(self) -> None:
+    def _round(self) -> bool:
         self.stats.rounds_total += 1
         payloads = self._gather_payloads()
         refresh_due = (self.round_index % self.refresh_every) == 0
         if not payloads and not (self._had_miss and refresh_due):
-            return
+            return True
         if not payloads and refresh_due:
             # Healing round: re-share current state of every alive node.
             for node in sorted(self.alive):
@@ -265,7 +309,7 @@ class SampledCP(_CpBase):
                     payloads[node] = payload
             if not payloads:
                 self._had_miss = False
-                return
+                return True
         self.stats.rounds_active += 1
         self.stats.duration_on_air += self.round_duration
         self._had_miss = False
@@ -286,6 +330,13 @@ class SampledCP(_CpBase):
                     self._had_miss = True
             if packets:
                 self.app.cp_deliver(node, packets, self.round_index)
+        return False
+
+    def _quiet_rounds_limit(self) -> Optional[int]:
+        # After a miss, the next refresh-due round heals and must run.
+        if self._had_miss:
+            return -self.round_index % self.refresh_every
+        return None
 
     # -- calibration ------------------------------------------------------------
 

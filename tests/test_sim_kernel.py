@@ -391,3 +391,50 @@ def test_recycled_timeout_behaves_like_fresh():
     assert order == [("a", 1.0), ("b", 2.0, "payload"), ("a2", 4.0)]
     with pytest.raises(ValueError):
         sim.timeout(-1.0)  # recycled path validates like the constructor
+
+
+def test_timeout_at_lands_on_repeated_addition_instants():
+    """1,000 periods of 0.3: jumping several periods ahead at a time lands
+    on exactly the instant repeated addition produced, where a relative
+    ``timeout(when - now)`` would be off by an ulp now and then."""
+    grid = [0.0]
+    for _ in range(1000):
+        grid.append(grid[-1] + 0.3)
+    jumps = [1, 3, 7, 13, 2, 29]
+    targets, k = [], 0
+    while True:
+        k += jumps[len(targets) % len(jumps)]
+        if k >= len(grid):
+            break
+        targets.append(grid[k])
+    sim = Simulator()
+    landed, inexact = [], 0
+
+    def walker(sim):
+        nonlocal inexact
+        for when in targets:
+            inexact += sim.now + (when - sim.now) != when
+            yield sim.timeout_at(when)
+            landed.append(sim.now)
+
+    sim.spawn(walker(sim))
+    sim.run()
+    assert landed == targets
+    assert inexact > 0  # the relative form would have missed some
+
+
+def test_timeout_at_rejects_the_past_and_carries_value():
+    sim = Simulator()
+    got = []
+
+    def proc(sim):
+        yield sim.timeout(2.0)
+        with pytest.raises(ValueError):
+            sim.timeout_at(1.5)
+        got.append((yield sim.timeout_at(2.0, "now")))  # the current instant
+        got.append((yield sim.timeout_at(4.5, "later")))
+        got.append(sim.now)
+
+    sim.spawn(proc(sim))
+    sim.run()
+    assert got == ["now", "later", 4.5]

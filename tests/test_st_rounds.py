@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.radio import (
     DriftingClock,
@@ -48,6 +50,30 @@ class ScriptedApp:
         self.deliveries.append((node, dict(packets), round_index))
 
 
+class PendingApp(ScriptedApp):
+    """ScriptedApp that names its pending nodes and logs delivery times."""
+
+    def __init__(self, sim, nodes):
+        super().__init__(nodes)
+        self.sim = sim
+
+    def cp_pending_nodes(self):
+        return {node for node, item in self.outbox.items()
+                if item is not None}
+
+    def cp_deliver(self, node, packets, round_index):
+        self.deliveries.append((self.sim.now, node, dict(packets),
+                                round_index))
+
+
+class CountingIdealCP(IdealCP):
+    round_calls = 0
+
+    def _round(self):
+        self.round_calls += 1
+        return super()._round()
+
+
 def test_ideal_cp_delivers_to_all():
     sim = Simulator()
     app = ScriptedApp(range(4))
@@ -67,7 +93,9 @@ def test_ideal_cp_skips_empty_rounds():
     cp.start()
     sim.run(until=10.0)
     assert app.deliveries == []
-    assert cp.stats.rounds_total >= 5
+    # rounds at 0, 2, ..., 10 s: the round on the horizon runs before
+    # the stop event
+    assert cp.stats.rounds_total == 6
     assert cp.stats.rounds_active == 0
 
 
@@ -87,6 +115,29 @@ def test_ideal_cp_respects_failed_nodes():
     receivers = {node for node, packets, _ in app.deliveries
                  if "y" in packets.values()}
     assert 2 in receivers
+
+
+def test_cp_without_pending_nodes_calls_every_node_every_round():
+    """An app that cannot name its pending nodes gets no skipped rounds."""
+    sim = Simulator()
+    app = ScriptedApp(range(3))
+    cp = IdealCP(sim, app, list(range(3)), period=2.0)
+    cp.start()
+    sim.run(until=10.0)
+    assert cp.stats.rounds_total == 6
+    assert app.payload_calls == cp.stats.rounds_total * 3
+
+
+def test_quiet_hour_runs_two_rounds():
+    """Quiet rounds before the next queued event are counted, not run."""
+    sim = Simulator()
+    app = PendingApp(sim, range(3))
+    cp = CountingIdealCP(sim, app, list(range(3)), period=2.0)
+    cp.start()
+    sim.run(until=3600.0)
+    assert cp.stats.rounds_total == 1801
+    assert cp.round_index == 1801
+    assert cp.round_calls <= 2
 
 
 def test_cp_cannot_start_twice():
@@ -205,6 +256,104 @@ def test_slot_level_cp_single_node_noop():
     cp.start()
     sim.run(until=5.0)
     assert app.deliveries == []
+
+
+# ---------------------------------------------------------------------------
+# Event-driven rounds against the periodic loop
+# ---------------------------------------------------------------------------
+
+class _PeriodicRounds:
+    """The reference loop: one timeout, hence one wake-up, per round."""
+
+    def _run(self):
+        while True:
+            self._round()
+            self.round_index += 1
+            yield self.sim.timeout(self.period)
+
+
+class PeriodicIdealCP(_PeriodicRounds, IdealCP):
+    pass
+
+
+class PeriodicSampledCP(_PeriodicRounds, SampledCP):
+    pass
+
+
+_KINDS = ("share", "bounce", "fail", "recover")
+#: (grid instant index, offset in periods, kind, node); offset 0 lands
+#: exactly on a round instant, so it ties with the round
+_ACTION = st.tuples(st.integers(0, 40), st.sampled_from([0.0, 0.0, 0.37]),
+                    st.sampled_from(_KINDS), st.integers(0, 4))
+_SCENARIO = st.fixed_dictionaries({
+    "sampled": st.booleans(),
+    "period": st.sampled_from([0.3, 0.5, 2.0]),
+    "nodes": st.integers(2, 5),
+    "seed": st.integers(0, 2**16),
+    "refresh_every": st.integers(1, 6),
+    "scripts": st.lists(st.lists(_ACTION, max_size=8), max_size=3),
+    # (grid index, offset in periods, external changes before the next run)
+    "runs": st.lists(st.tuples(
+        st.integers(0, 45), st.sampled_from([0.0, 0.5]),
+        st.lists(st.tuples(st.sampled_from(_KINDS), st.integers(0, 4)),
+                 max_size=3)), min_size=1, max_size=4),
+})
+
+
+def _apply(app, cp, kind, node, tag):
+    node %= len(cp.nodes)
+    if kind in ("share", "bounce"):
+        app.outbox[node] = tag
+    elif kind == "fail":
+        cp.fail_node(node)
+    else:
+        cp.recover_node(node)
+
+
+def _simulate(scenario, ideal_cls, sampled_cls):
+    """Drive one CP through ``scenario``; everything it observably did."""
+    period, n = scenario["period"], scenario["nodes"]
+    grid = [0.0]
+    for _ in range(48):
+        grid.append(grid[-1] + period)
+    sim = Simulator()
+    nodes = list(range(n))
+    app = PendingApp(sim, nodes)
+    rng = np.random.default_rng(scenario["seed"])
+    if scenario["sampled"]:
+        matrix = np.random.default_rng(scenario["seed"]).choice(
+            [0.0, 0.5, 0.9, 1.0], size=(n, n))
+        cp = sampled_cls(sim, app, nodes, matrix, rng, period=period,
+                         refresh_every=scenario["refresh_every"],
+                         round_duration=0.013)
+    else:
+        cp = ideal_cls(sim, app, nodes, period=period)
+
+    def script(actions, name):
+        for i, (k, offset, kind, node) in enumerate(sorted(actions)):
+            yield sim.timeout_at(grid[k] + offset * period)
+            if kind == "bounce":  # re-queue behind everything at this instant
+                yield sim.timeout(0.0)
+            _apply(app, cp, kind, node, f"{name}-{i}")
+
+    for s, actions in enumerate(scenario["scripts"]):
+        sim.spawn(script(actions, f"s{s}"))
+    cp.start()
+    for r, (k, offset, changes) in enumerate(sorted(scenario["runs"])):
+        sim.run(until=max(grid[k] + offset * period, sim.now))
+        for c, (kind, node) in enumerate(changes):
+            _apply(app, cp, kind, node, f"ext-{r}-{c}")
+    return (app.deliveries, cp.stats, cp.round_index, sim.now,
+            rng.bit_generator.state)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SCENARIO)
+def test_event_driven_rounds_match_periodic_rounds(scenario):
+    """Skipping quiet rounds is invisible: same deliveries (time, node,
+    packets, round index), same CpStats, same Generator state."""
+    reference = _simulate(scenario, PeriodicIdealCP, PeriodicSampledCP)
+    assert _simulate(scenario, IdealCP, SampledCP) == reference
 
 
 # ---------------------------------------------------------------------------
