@@ -4,12 +4,12 @@
 Builds the neighborhood declaratively (one ``ExperimentSpec``), runs it
 through the fleet-scale execution engine — the fleet is lowered into
 per-shard sub-specs, each worker runs a whole shard and pre-reduces it
-locally, per-home series come back as one batched (shared-memory when
-available) frame per shard — negotiates cross-home phase offsets on the
-feeder collaboration plane, and prints the feeder report plus the
-execution plan that produced it.
+locally, per-home series come back as one batched bytes frame per
+shard — negotiates cross-home phase offsets on the feeder collaboration
+plane, and prints the feeder report plus the execution plan that
+produced it.
 
-Results are bit-identical for every ``(shard_size, jobs, transport)``
+Results are bit-identical for every ``(shard_size, jobs)``
 combination; sharding only changes how fast the answer arrives.
 
 Usage::
@@ -43,9 +43,8 @@ def main() -> None:
                         coordination="feeder"))
 
     shards = compile_shards(spec)
-    plan = "per-home fan-out" if shards is None else \
-        f"{len(shards)} shards x ~{shards[0].fleet.n_homes} homes"
-    print(f"executing {homes} homes ({plan}) ...")
+    print(f"executing {homes} homes ({len(shards)} shards x "
+          f"~{shards[0].fleet.n_homes} homes) ...")
 
     started = time.perf_counter()
     result = run(spec)

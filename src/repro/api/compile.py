@@ -247,18 +247,17 @@ def shard_sub_hashes(spec: ExperimentSpec, shards) -> dict[int, str]:
 
 
 def compile_shards(spec: ExperimentSpec, shard_size: Optional[int] = None,
-                   jobs: int = 1, transport: Optional[str] = None):
+                   jobs: int = 1):
     """Lower a neighborhood spec into its per-shard sub-specs.
 
     The fleet-scale lowering: :func:`compile_fleet` builds the full
     deterministic fleet, then :func:`repro.neighborhood.shard.plan_shards`
     cuts it into contiguous :class:`~repro.neighborhood.shard.ShardSpec`
-    work orders (``None`` when the fleet is small enough that the
-    per-home path wins).  Sharding is an execution strategy, not part of
-    the experiment: the spec hash — and every result bit — is identical
+    work orders.  Sharding is an execution strategy, not part of the
+    experiment: the spec hash — and every result bit — is identical
     whatever this returns.
     """
     from repro.neighborhood.shard import plan_shards
     fleet = compile_fleet(spec)
     return plan_shards(fleet, until=spec.until_s, shard_size=shard_size,
-                       jobs=jobs, transport=transport)
+                       jobs=jobs)

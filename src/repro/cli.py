@@ -169,10 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forecast-seed", type=int, default=1,
                    help="root seed of the forecast noise streams")
     p.add_argument("--shard-size", type=int, default=None,
-                   help="homes per execution shard (default: auto — "
-                        "large fleets shard, small ones fan out "
-                        "per home; 0 forces the per-home path; results "
-                        "are bit-identical either way)")
+                   help="homes per execution shard, >= 1 (default: "
+                        "auto; results are bit-identical either way)")
     p.add_argument("--policy", choices=POLICIES, default="coordinated")
     p.add_argument("--fidelity", choices=FIDELITIES, default="round")
     p.add_argument("--horizon-min", type=float, default=None,
@@ -202,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "rounds plus feeder-envelope negotiation at the "
                         "substation)")
     p.add_argument("--shard-size", type=int, default=None,
-                   help="homes per execution shard (default: auto; "
-                        "results are bit-identical either way)")
+                   help="homes per execution shard, >= 1 (default: "
+                        "auto; results are bit-identical either way)")
     p.add_argument("--policy", choices=POLICIES, default="coordinated")
     p.add_argument("--fidelity", choices=FIDELITIES, default="round")
     p.add_argument("--horizon-min", type=float, default=None,
@@ -241,7 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("oracle", "persistence", "seasonal",
                                   "ewma"),
                          default="persistence")
-    p_chaos.add_argument("--shard-size", type=int, default=None)
+    p_chaos.add_argument("--shard-size", type=int, default=None,
+                         help="homes per execution shard, >= 1 "
+                              "(default: auto)")
     p_chaos.add_argument("--horizon-min", type=float, default=None,
                          help="override the 350 min horizon")
 
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lease expiry between heartbeats (default: 30)")
     p.add_argument("--shard-size", type=int, default=None,
                    help="homes per execution shard for neighborhood "
-                        "jobs (default: auto)")
+                        "and grid jobs, >= 1 (default: auto)")
     p.add_argument("--worker-id", default=None,
                    help="worker identity in leases (default: host.pid)")
 
@@ -342,6 +342,11 @@ def _checked(factory, *factory_args, **factory_kwargs):
 def _check_jobs(jobs: int) -> None:
     if jobs < 1:
         raise _BadInput(f"jobs must be >= 1, got {jobs}")
+
+
+def _check_shard_size(shard_size: Optional[int]) -> None:
+    if shard_size is not None and shard_size < 1:
+        raise _BadInput(f"shard_size must be >= 1, got {shard_size}")
 
 
 def _load_spec(path: str) -> ExperimentSpec:
@@ -535,6 +540,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _dispatch_spec(args)
     elif args.command == "neighborhood":
         _check_jobs(args.jobs)
+        _check_shard_size(args.shard_size)
         coordination = args.coordinate or "independent"
         forecast = ForecastPlan(forecaster=args.forecaster,
                                 noise=args.forecast_noise,
@@ -572,6 +578,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(f"series written to {path}")
     elif args.command == "grid":
         _check_jobs(args.jobs)
+        _check_shard_size(args.shard_size)
         if args.feeders < 1:
             raise _BadInput(f"feeders must be >= 1, got {args.feeders}")
         spec = ExperimentSpec(
@@ -675,6 +682,7 @@ def _dispatch_chaos(args: argparse.Namespace,
     """``repro chaos run``: an online fleet under an injected schedule."""
     from repro.faults import FaultPlan, last_injector
     _check_jobs(args.jobs)
+    _check_shard_size(args.shard_size)
     plan = _checked(FaultPlan, seed=args.fault_seed,
                     max_delay_epochs=args.max_delay_epochs,
                     **_parse_fault_rates(args.fault_rate))
@@ -759,6 +767,7 @@ def _dispatch_worker(args: argparse.Namespace) -> int:
     """``repro worker``: one daemon draining the service job queue."""
     from repro.service.worker import WorkerDaemon
     _check_jobs(args.jobs)
+    _check_shard_size(args.shard_size)
     daemon = _checked(WorkerDaemon, args.store,
                       worker_id=args.worker_id, jobs=args.jobs,
                       shard_size=args.shard_size,

@@ -132,11 +132,10 @@ class ParallelRunner:
         ``worker`` must be module-level picklable and return the
         ``("ok"|"err", name, payload)`` triples the built-in bodies use
         (failures as data — tracebacks always survive pickling).  Unlike
-        :meth:`run`, the triples come back **raw**: callers whose ok
-        payloads own external resources (the fleet shard executor's
-        shared-memory frames, :mod:`repro.neighborhood.shard`) must be
-        able to reclaim them before surfacing an error triple as
-        :class:`WorkerFailure`.
+        :meth:`run`, the triples come back **raw**: the fleet shard
+        collector (:mod:`repro.neighborhood.shard`) post-processes each
+        ok payload itself and raises :class:`WorkerFailure` on the
+        first error triple.
         """
         items = list(items)
         if not items:

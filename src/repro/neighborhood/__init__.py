@@ -4,12 +4,12 @@ Eight modules, one pipeline (see ``docs/architecture.md``):
 
 * :mod:`~repro.neighborhood.fleet` — deterministic heterogeneous fleet
   construction (:func:`build_fleet`);
-* :mod:`~repro.neighborhood.federation` — the parallel fan-out and result
-  packaging (:func:`run_neighborhood`);
-* :mod:`~repro.neighborhood.shard` — fleet-scale execution: per-shard
+* :mod:`~repro.neighborhood.federation` — fleet execution and result
+  packaging (:func:`execute_fleet`);
+* :mod:`~repro.neighborhood.shard` — the one execution path: per-shard
   sub-specs, worker-local pre-reduction (:func:`plan_shards`);
-* :mod:`~repro.neighborhood.transport` — batched shared-memory series
-  frames between workers and the parent;
+* :mod:`~repro.neighborhood.transport` — batched bytes series frames
+  between workers and the parent;
 * :mod:`~repro.neighborhood.coordination` — the feeder-level
   collaboration plane (:func:`coordinate_fleet`, ``docs/coordination.md``);
 * :mod:`~repro.neighborhood.aggregate` — exact feeder summation and

@@ -180,28 +180,6 @@ def snap_bin(horizon: float, bin_s: float) -> float:
     n_bins = max(int(round(horizon / bin_s)), 1)
     return horizon / n_bins
 
-def _segment_table(series: StepSeries, horizon: float,
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(starts, ends, values)`` arrays partitioning ``[0, horizon)``.
-
-    The vectorized twin of :meth:`~repro.sim.monitor.StepSeries.segments`
-    (same boundaries, same values, no arithmetic) — rotation and
-    envelopes must agree with the statistics' decomposition bit for bit.
-    """
-    times, values = series._data()
-    lo = int(np.searchsorted(times, 0.0, side="right"))
-    hi = int(np.searchsorted(times, horizon, side="left"))
-    starts = np.empty(hi - lo + 1, dtype=float)
-    starts[0] = 0.0
-    starts[1:] = times[lo:hi]
-    ends = np.empty(hi - lo + 1, dtype=float)
-    ends[:-1] = times[lo:hi]
-    ends[-1] = horizon
-    seg_values = np.empty(hi - lo + 1, dtype=float)
-    seg_values[0] = values[lo - 1] if lo > 0 else 0.0
-    seg_values[1:] = values[lo:hi]
-    return starts, ends, seg_values
-
 
 def phase_envelope(series: StepSeries, horizon: float,
                    bin_s: float) -> tuple[float, ...]:
@@ -210,36 +188,20 @@ def phase_envelope(series: StepSeries, horizon: float,
     Bin ``b`` covers ``[b * bin_s, (b + 1) * bin_s)``; its envelope value
     is the *maximum* signal value attained inside, so summed envelopes
     upper-bound the summed signals — the property the feeder plane's
-    claim objective relies on.  One vectorized slice-max per constant
-    segment (not one Python comparison per bin), same floats as the
-    scalar loop it replaced.
+    claim objective relies on.  The ``start=0`` form of
+    :func:`phase_envelope_window`.
     """
-    # The tiny slack keeps exact divisions (the usual case — see
-    # coordinate_fleet's bin snapping) from spilling into an extra bin
-    # through float rounding.
-    bins = int(math.ceil(horizon / bin_s - 1e-9))
-    envelope = np.zeros(bins, dtype=float)
-    starts, ends, values = _segment_table(series, horizon)
-    for start, end, value in zip(starts.tolist(), ends.tolist(),
-                                 values.tolist()):
-        if value <= 0.0:
-            continue
-        first = int(start // bin_s)
-        last = min(int(math.ceil(end / bin_s)), bins)
-        if first < last:
-            np.maximum(envelope[first:last], value,
-                       out=envelope[first:last])
-    return tuple(envelope.tolist())
+    return phase_envelope_window(series, 0.0, horizon, bin_s)
 
 
 def _window_segment_table(series: StepSeries, start: float, end: float,
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(starts, ends, values)`` arrays partitioning ``[start, end)``.
 
-    The windowed twin of :func:`_segment_table`: same boundaries, same
-    values, no arithmetic on either — the online loop's per-epoch
-    envelopes and rotations must agree with the statistics'
-    decomposition bit for bit.
+    The vectorized twin of :meth:`~repro.sim.monitor.StepSeries.segments`
+    (same boundaries, same values, no arithmetic on either) — rotation
+    and envelopes must agree with the statistics' decomposition bit for
+    bit.
     """
     times, values = series._data()
     lo = int(np.searchsorted(times, start, side="right"))
@@ -333,29 +295,10 @@ def rotate_series(series: StepSeries, offset: float, horizon: float,
     to the front (the steady-state reading of a phase shift).  Rotation
     permutes the constant segments without changing their durations or
     values, so the integral (energy), the time-weighted distribution and
-    the peak over ``[0, horizon)`` are all preserved.
-
-    Vectorized (segment shift, lexsort, record-semantics dedup via
-    :func:`repro.neighborhood.aggregate.dedup_records`) and bit-identical
-    to the scalar record loop it replaced.
+    the peak over ``[0, horizon)`` are all preserved.  The ``start=0``
+    form of :func:`rotate_window`.
     """
-    from repro.neighborhood.aggregate import dedup_records
-    out_name = name if name is not None else series.name
-    offset = offset % horizon
-    starts, ends, values = _segment_table(series, horizon)
-    if offset == 0.0:
-        times, kept = dedup_records(starts, values)
-        return StepSeries.from_arrays(out_name, times, kept)
-    new_starts = starts + offset
-    wrapped = new_starts >= horizon
-    split = ~wrapped & (ends + offset > horizon)
-    entry_times = np.concatenate([
-        np.where(wrapped, new_starts - horizon, new_starts),
-        np.zeros(int(split.sum()), dtype=float)])
-    entry_values = np.concatenate([values, values[split]])
-    order = np.lexsort((entry_values, entry_times))
-    times, kept = dedup_records(entry_times[order], entry_values[order])
-    return StepSeries.from_arrays(out_name, times, kept)
+    return rotate_window(series, offset, 0.0, horizon, name)
 
 
 # ---------------------------------------------------------------------------

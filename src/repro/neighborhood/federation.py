@@ -2,9 +2,9 @@
 
 Each home is one independent :class:`~repro.core.system.HanSystem` run (the
 paper's decentralized coordination never crosses the home's meter), so a
-neighborhood is embarrassingly parallel: the federation hands every home to
-the :class:`~repro.experiments.runner.ParallelRunner` and sums the returned
-load series into the feeder profile.
+neighborhood is embarrassingly parallel: the federation runs the homes as
+shards (:mod:`repro.neighborhood.shard`) and folds the shards' partial sums
+into the feeder profile.
 
 With ``coordination="feeder"`` a second, cross-home collaboration plane
 runs after the fan-out: the feeder CP of
@@ -23,13 +23,11 @@ from typing import Optional
 from repro.analysis.loadstats import LoadStats, load_stats
 from repro.analysis.report import format_table
 from repro.core.system import RunResult
-from repro.experiments.runner import ParallelRunner, RunSpec
 from repro.neighborhood.aggregate import (
     FeederComparison,
     FeederStats,
     combine_partials,
     feeder_stats,
-    sum_series,
 )
 from repro.neighborhood.shard import execute_shards, plan_shards
 from repro.neighborhood.coordination import (
@@ -205,7 +203,6 @@ def execute_fleet(fleet: FleetSpec, jobs: int = 1,
                   feeder: Optional[FeederConfig] = None,
                   spec: Optional[object] = None,
                   shard_size: Optional[int] = None,
-                  transport: Optional[str] = None,
                   shard_executor=None,
                   forecast: Optional[object] = None) -> NeighborhoodResult:
     """Run every home of ``fleet`` (over ``jobs`` workers) and aggregate.
@@ -232,17 +229,15 @@ def execute_fleet(fleet: FleetSpec, jobs: int = 1,
     ``forecast`` — a :class:`~repro.neighborhood.online.ForecastConfig`
     or any object carrying its fields — selecting the forecaster.
 
-    ``shard_size`` / ``transport`` tune the fleet-scale execution
-    strategy (see :mod:`repro.neighborhood.shard`): large fleets are
-    auto-sharded so each worker runs a whole sub-fleet, pre-reduces it
-    locally and ships one batched series frame; ``shard_size=0`` forces
-    the per-home path.  Pure execution knobs — results are bit-identical
-    for every combination.
+    ``shard_size`` tunes the execution strategy (see
+    :mod:`repro.neighborhood.shard`): every fleet runs as shards, each
+    worker runs a whole sub-fleet, pre-reduces it locally and ships one
+    batched series frame.  A pure execution knob — results are
+    bit-identical for every value.
 
-    ``shard_executor`` swaps the per-shard worker body on the sharded
-    path (see :func:`repro.neighborhood.shard.execute_shards`) — the
-    service plane's checkpointing hook; ignored when the fleet runs
-    per-home.
+    ``shard_executor`` swaps the per-shard worker body (see
+    :func:`repro.neighborhood.shard.execute_shards`) — the service
+    plane's checkpointing hook.
     """
     if coordination not in COORDINATION_MODES:
         known = ", ".join(COORDINATION_MODES)
@@ -257,21 +252,9 @@ def execute_fleet(fleet: FleetSpec, jobs: int = 1,
         envelope_bin = snap_bin(
             horizon, (feeder or FeederConfig()).bin_s)
     shards = plan_shards(fleet, until=until, shard_size=shard_size,
-                         jobs=jobs, transport=transport,
-                         envelope_bin_s=envelope_bin)
-    partials = None
-    home_stats = None
-    envelopes = None
-    if shards is not None:
-        results, partials, home_stats, envelopes = execute_shards(
-            shards, jobs=jobs, mp_context=mp_context,
-            executor=shard_executor)
-    else:
-        specs = [RunSpec(name=home.scenario.name, config=home.config(),
-                         until=until)
-                 for home in fleet.homes]
-        results = ParallelRunner(jobs=jobs,
-                                 mp_context=mp_context).run(specs)
+                         jobs=jobs, envelope_bin_s=envelope_bin)
+    results, partials, home_stats, envelopes = execute_shards(
+        shards, jobs=jobs, mp_context=mp_context, executor=shard_executor)
     if coordination == "feeder":
         plan = coordinate_fleet(fleet, results, horizon, config=feeder,
                                 partials=partials, envelopes=envelopes)
@@ -300,11 +283,8 @@ def execute_fleet(fleet: FleetSpec, jobs: int = 1,
                                   horizon=horizon, coordination=plan,
                                   spec=spec,
                                   precomputed_home_stats=home_stats)
-    if partials is not None:
-        feeder_w = combine_partials(
-            partials, [result.load_w for result in results])
-    else:
-        feeder_w = sum_series([result.load_w for result in results])
+    feeder_w = combine_partials(
+        partials, [result.load_w for result in results])
     return NeighborhoodResult(fleet=fleet, homes=results, feeder_w=feeder_w,
                               horizon=horizon, spec=spec,
                               precomputed_home_stats=home_stats)

@@ -35,8 +35,8 @@ Determinism mirrors the single-feeder plane: feeder ``i`` of a grid
 builds with :func:`feeder_seed`, feeder 0 inheriting the root seed, so
 a flat single-feeder :class:`GridSpec` reproduces the ``neighborhood``
 spec kind bit for bit, and every execution knob (``jobs``,
-``shard_size``, ``transport``, executor) is a pure strategy that never
-changes result bits.
+``shard_size``, executor) is a pure strategy that never changes result
+bits.
 """
 
 from __future__ import annotations
@@ -47,13 +47,11 @@ from typing import Mapping, Optional, Sequence
 
 from repro.analysis.report import format_table
 from repro.core.system import RunResult
-from repro.experiments.runner import ParallelRunner, RunSpec
 from repro.neighborhood.aggregate import (
     FeederComparison,
     FeederStats,
     combine_partials,
     feeder_stats,
-    partial_sum,
     sum_series,
 )
 from repro.neighborhood.coordination import (
@@ -383,16 +381,15 @@ def execute_grid(grid: GridSpec, jobs: int = 1,
                  feeder: Optional[FeederConfig] = None,
                  spec: Optional[object] = None,
                  shard_size: Optional[int] = None,
-                 transport: Optional[str] = None,
                  shard_executor=None) -> GridResult:
     """Run every feeder of ``grid`` and aggregate up to the substation.
 
     The grid execution primitive the spec API bottoms out in
     (:func:`repro.api.run.run` compiles a ``grid`` spec and calls
-    here).  Per feeder, execution reuses the PR 5 shard path unchanged
-    — including worker-side envelope pre-reduction when a tier will
-    coordinate — with shard indices renumbered *globally* across
-    feeders so service-plane checkpoint sub-addresses
+    here).  Per feeder, execution runs the fleet shard path — including
+    worker-side envelope pre-reduction when a tier will coordinate —
+    with shard indices renumbered *globally* across feeders so
+    service-plane checkpoint sub-addresses
     (:func:`repro.api.compile.shard_sub_hash`) stay unique.
 
     ``coordination`` is one of :data:`GRID_COORDINATION_MODES`; the
@@ -417,24 +414,13 @@ def execute_grid(grid: GridSpec, jobs: int = 1,
     next_shard_index = 0
     for fleet in grid.feeders:
         shards = plan_shards(fleet, until=until, shard_size=shard_size,
-                             jobs=jobs, transport=transport,
-                             envelope_bin_s=envelope_bin)
-        if shards is not None:
-            shards = [replace(shard, index=next_shard_index + offset)
-                      for offset, shard in enumerate(shards)]
-            next_shard_index += len(shards)
-            results, partials, home_stats, envelopes = execute_shards(
-                shards, jobs=jobs, mp_context=mp_context,
-                executor=shard_executor)
-        else:
-            specs = [RunSpec(name=home.scenario.name,
-                             config=home.config(), until=until)
-                     for home in fleet.homes]
-            results = ParallelRunner(jobs=jobs,
-                                     mp_context=mp_context).run(specs)
-            partials = [partial_sum([one.load_w for one in results])]
-            home_stats = None
-            envelopes = None
+                             jobs=jobs, envelope_bin_s=envelope_bin)
+        shards = [replace(shard, index=next_shard_index + offset)
+                  for offset, shard in enumerate(shards)]
+        next_shard_index += len(shards)
+        results, partials, home_stats, envelopes = execute_shards(
+            shards, jobs=jobs, mp_context=mp_context,
+            executor=shard_executor)
         series = [one.load_w for one in results]
         all_partials.extend(partials)
         all_series.extend(series)

@@ -1,8 +1,9 @@
 """Sharded neighborhood execution: fleets lowered to per-shard sub-specs.
 
-At N≥500 homes the fan-out itself becomes the cost: one dispatch, one
-result pickle and one parent-side aggregation step *per home*.  Sharding
-re-cuts the work so every unit is a contiguous **sub-fleet**:
+Every fleet runs as shards.  At N≥500 homes the fan-out itself becomes
+the cost: one dispatch, one result pickle and one parent-side
+aggregation step *per home*.  Sharding cuts the work so every unit is a
+contiguous **sub-fleet**:
 
 * :func:`shard_fleet` lowers a :class:`~repro.neighborhood.fleet.FleetSpec`
   into per-shard sub-specs (``<fleet>/shard<i>`` slices) — the
@@ -13,16 +14,17 @@ re-cuts the work so every unit is a contiguous **sub-fleet**:
   feeder sum (:func:`~repro.neighborhood.aggregate.partial_sum`) and the
   per-home scalar :class:`~repro.analysis.loadstats.LoadStats`, so the
   parent aggregates S partials instead of N homes;
-* per-home series travel as **one batched frame per shard**
-  (:mod:`repro.neighborhood.transport`) instead of N per-home pickles.
+* a cross-process shard ships its per-home series as **one bytes
+  frame** (:mod:`repro.neighborhood.transport`) instead of N per-home
+  pickles; an in-process shard hands its results back directly.
 
 Sharding is an execution strategy, never an experiment parameter:
-results are bit-identical for every ``(shard_size, jobs, transport)``
-combination — the feeder profile is the correctly rounded per-event sum
-regardless of partitioning (see
+results are bit-identical for every ``(shard_size, jobs)`` combination
+— the feeder profile is the correctly rounded per-event sum regardless
+of partitioning (see
 :func:`~repro.neighborhood.aggregate.combine_partials`), and home runs
 are independently seeded.  ``tests/test_fleet_sharding.py`` locks the
-invariance by digest.
+invariance by digest against a per-home reference kept in the test.
 """
 
 from __future__ import annotations
@@ -39,9 +41,6 @@ from repro.neighborhood.fleet import FleetSpec
 from repro.neighborhood.transport import FrameUnavailableError, \
     SeriesFrame, pack_series, unpack_series
 
-#: Fleets smaller than this stay on the per-home path by default —
-#: dispatch and aggregation overhead only dominates at fleet scale.
-AUTO_SHARD_MIN_HOMES = 64
 #: Auto shard size for in-process (``jobs=1``) fleet runs.
 DEFAULT_SHARD_SIZE = 64
 
@@ -50,9 +49,9 @@ DEFAULT_SHARD_SIZE = 64
 class ShardSpec:
     """One shard's complete, picklable work order: a sub-fleet to run.
 
-    ``transport`` selects the series wire format
-    (:data:`repro.neighborhood.transport.TRANSPORTS`); ``None`` keeps
-    results in-process (the ``jobs=1`` fast path — no frame, no pickle).
+    ``framed`` ships the shard's series back as one bytes frame (a
+    cross-process shard); ``False`` keeps results in-process (the
+    ``jobs=1`` fast path — no frame, no pickle).
     """
 
     index: int
@@ -60,7 +59,7 @@ class ShardSpec:
     until: Optional[float]
     #: stats window end — per-home :class:`LoadStats` cover ``[0, horizon)``
     horizon: float
-    transport: Optional[str] = None
+    framed: bool = False
     #: when set, the worker also pre-reduces each home's
     #: :func:`~repro.neighborhood.coordination.phase_envelope` at this
     #: (already snapped — see ``snap_bin``) bin width, so the parent's
@@ -77,7 +76,6 @@ class ShardOutcome:
     unpacked views before anyone downstream sees the results.
     """
 
-    index: int
     homes: list[RunResult]
     frame: Optional[SeriesFrame]
     partial: SeriesPartial
@@ -105,17 +103,16 @@ def shard_fleet(fleet: FleetSpec, shard_size: int) -> list[FleetSpec]:
 
 def plan_shards(fleet: FleetSpec, until: Optional[float] = None,
                 shard_size: Optional[int] = None, jobs: int = 1,
-                transport: Optional[str] = None,
                 envelope_bin_s: Optional[float] = None,
-                ) -> Optional[list[ShardSpec]]:
-    """Decide the shard layout for one fleet run (``None`` = don't shard).
+                ) -> list[ShardSpec]:
+    """Decide the shard layout for one fleet run.
 
-    ``shard_size=None`` auto-shards fleets of
-    :data:`AUTO_SHARD_MIN_HOMES`+ homes — ``jobs``-aware so every worker
-    sees several shards (load balancing, same policy as
-    :func:`repro.experiments.pool.dispatch_chunksize`); ``0`` forces the
-    per-home path; any other value is used as given.  ``transport``
-    overrides the wire format for cross-process shards.
+    ``shard_size=None`` picks the size: :data:`DEFAULT_SHARD_SIZE` homes
+    in-process (``jobs=1``, so a small fleet is one shard), else
+    ``jobs``-aware so every worker sees several shards (load balancing,
+    same policy as :func:`repro.experiments.pool.dispatch_chunksize`);
+    any other value must be >= 1 and is used as given.  Shards are
+    framed exactly when they cross a process boundary.
 
     ``envelope_bin_s`` (a bin width already snapped to the horizon —
     see :func:`repro.neighborhood.coordination.snap_bin`) asks the shard
@@ -125,31 +122,19 @@ def plan_shards(fleet: FleetSpec, until: Optional[float] = None,
     <repro.neighborhood.coordination.phase_envelope>` is pure, so the
     result is bit-identical to computing them parent-side.
     """
-    n_homes = fleet.n_homes
-    if shard_size is None:
-        if n_homes < AUTO_SHARD_MIN_HOMES:
-            return None
-        if jobs <= 1:
-            size = DEFAULT_SHARD_SIZE
-        else:
-            from repro.experiments.pool import CHUNKS_PER_WORKER
-            size = max(1, math.ceil(n_homes / (jobs * CHUNKS_PER_WORKER)))
-    elif shard_size == 0:
-        return None
-    else:
-        if shard_size < 1:
-            raise ValueError(
-                f"shard_size must be >= 0, got {shard_size}")
+    if shard_size is not None:
         size = shard_size
+    elif jobs <= 1:
+        size = DEFAULT_SHARD_SIZE
+    else:
+        from repro.experiments.pool import CHUNKS_PER_WORKER
+        size = max(1, math.ceil(fleet.n_homes
+                                / (jobs * CHUNKS_PER_WORKER)))
     sub_fleets = shard_fleet(fleet, size)
     horizon = until if until is not None else fleet.horizon
-    in_process = jobs == 1 or len(sub_fleets) == 1
-    wire = None
-    if not in_process:
-        from repro.neighborhood.transport import pick_transport
-        wire = pick_transport(transport)
+    framed = jobs > 1 and len(sub_fleets) > 1
     return [ShardSpec(index=index, fleet=sub_fleet, until=until,
-                      horizon=horizon, transport=wire,
+                      horizon=horizon, framed=framed,
                       envelope_bin_s=envelope_bin_s)
             for index, sub_fleet in enumerate(sub_fleets)]
 
@@ -161,8 +146,8 @@ def _execute_shard(spec: ShardSpec) -> tuple:
     the same reasons as
     :func:`repro.experiments.runner._execute_run_spec`; a failing home
     names itself, not the shard, so
-    :class:`~repro.experiments.runner.WorkerFailure` messages stay as
-    precise as on the per-home path.
+    :class:`~repro.experiments.runner.WorkerFailure` messages point at
+    the home that broke.
     """
     results: list[RunResult] = []
     for home in spec.fleet.homes:
@@ -182,20 +167,13 @@ def _execute_shard(spec: ShardSpec) -> tuple:
             envelopes = [phase_envelope(one, spec.horizon,
                                         spec.envelope_bin_s)
                          for one in series]
-        if spec.transport is None:
-            outcome = ShardOutcome(index=spec.index, homes=results,
-                                   frame=None, partial=partial,
-                                   home_stats=stats,
-                                   envelopes=envelopes)
-        else:
-            frame = pack_series(series, spec.transport)
-            stripped = [replace(result, load_w=None)
-                        for result in results]
-            outcome = ShardOutcome(index=spec.index, homes=stripped,
-                                   frame=frame, partial=partial,
-                                   home_stats=stats,
-                                   envelopes=envelopes)
-        return ("ok", spec.fleet.name, outcome)
+        frame = None
+        if spec.framed:
+            frame = pack_series(series)
+            results = [replace(result, load_w=None) for result in results]
+        return ("ok", spec.fleet.name,
+                ShardOutcome(homes=results, frame=frame, partial=partial,
+                             home_stats=stats, envelopes=envelopes))
     except Exception:
         return ("err", spec.fleet.name, traceback.format_exc())
 
@@ -232,33 +210,22 @@ def execute_shards(shards: Sequence[ShardSpec], jobs: int = 1,
     partials: list[SeriesPartial] = []
     home_stats: list[LoadStats] = []
     envelopes: list[tuple[float, ...]] = []
-    failure: Optional[tuple[str, str]] = None
-    # Adopt every completed shard's frame *before* surfacing a failure:
-    # unpack_series unlinks the shared-memory segment, so a failing
-    # sibling shard can never strand the finished ones' blocks in
-    # /dev/shm for the life of the (persistent-pool) process.
-    for status, name, payload in triples:
+    for shard, (status, name, payload) in zip(shards, triples):
         if status == "err":
-            if failure is None:
-                failure = (name, payload)
-            continue
+            raise WorkerFailure(name, payload)
         outcome: ShardOutcome = payload
         if outcome.frame is not None:
             try:
                 series = unpack_series(outcome.frame)
             except FrameUnavailableError:
-                # The shard's batched series are gone — the packing
-                # worker crashed and its segment was reaped (or a
-                # transport.frame fault was injected).  Home runs are
-                # bit-deterministic, so re-executing the shard here,
-                # in-process and frameless, reproduces the lost data
-                # exactly; only the transport optimization is lost.
+                # The shard's batched series are gone (a transport.frame
+                # fault).  Home runs are bit-deterministic, so
+                # re-executing the shard here, in-process and unframed,
+                # reproduces the lost data exactly.
                 status, name, payload = _execute_shard(
-                    replace(shards[outcome.index], transport=None))
+                    replace(shard, framed=False))
                 if status == "err":
-                    if failure is None:
-                        failure = (name, payload)
-                    continue
+                    raise WorkerFailure(name, payload)
                 outcome = payload
             else:
                 outcome.homes = [replace(result, load_w=one)
@@ -269,7 +236,5 @@ def execute_shards(shards: Sequence[ShardSpec], jobs: int = 1,
         home_stats.extend(outcome.home_stats)
         if outcome.envelopes is not None:
             envelopes.extend(outcome.envelopes)
-    if failure is not None:
-        raise WorkerFailure(*failure)
     return homes, partials, home_stats, \
         envelopes if len(envelopes) == len(homes) and homes else None

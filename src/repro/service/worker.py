@@ -125,18 +125,16 @@ def _checkpointed_shard(spec, cache: ResultCache, parent: str) -> tuple:
     """Shard executor with artifact-store memoization (module-level so
     ``functools.partial`` of it pickles to pool workers).
 
-    The shard's transport is forced in-process (``None``) so the outcome
-    carries its series directly — a shared-memory frame names a segment
-    that dies with the packing process and can never live in a store.
-    Stored shards therefore skip the batched-frame transport; the
-    checkpoint read/write replaces what the frame was optimizing.
+    The shard runs unframed so the stored outcome carries its series
+    directly and replays without passing the ``transport.frame`` site;
+    the checkpoint read/write replaces what the frame was optimizing.
     """
     from repro.neighborhood.shard import _execute_shard
     key = shard_sub_hash(parent, spec)
     hit = cache.get_object(key)
     if isinstance(hit, tuple) and len(hit) == 3 and hit[0] == "ok":
         return hit
-    triple = _execute_shard(replace(spec, transport=None))
+    triple = _execute_shard(replace(spec, framed=False))
     if triple[0] == "ok":
         cache.put_object(key, triple, name=spec.fleet.name, kind="shard")
     return triple

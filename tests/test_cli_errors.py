@@ -32,6 +32,22 @@ def test_bad_jobs_neighborhood(capsys):
     assert "jobs must be >= 1" in err
 
 
+def test_bad_shard_size_neighborhood(capsys):
+    code, err = run_expecting_error(
+        capsys, "neighborhood", "--homes", "2", "--shard-size", "0",
+        "--fidelity", "ideal", "--horizon-min", "5")
+    assert code == 2
+    assert "shard_size must be >= 1" in err
+
+
+def test_bad_shard_size_worker(capsys, tmp_path):
+    code, err = run_expecting_error(
+        capsys, "worker", "--store", str(tmp_path / "store"),
+        "--shard-size", "0", "--idle-exit", "0")
+    assert code == 2
+    assert "shard_size must be >= 1" in err
+
+
 def test_bad_jobs_regen(capsys):
     code, err = run_expecting_error(capsys, "regen", "FIG2A", "--jobs", "0")
     assert code == 2

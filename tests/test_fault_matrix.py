@@ -336,6 +336,30 @@ def test_frame_loss_falls_back_to_bit_identical_reexecution():
     assert fired, "sharded cross-process run must probe the frame site"
 
 
+def test_grid_frame_loss_reexecutes_the_lost_shard_of_every_feeder(
+        shutdown_pools_after):
+    """Grid shard indices run globally across feeders; the fallback must
+    re-execute the lost shard itself, not the one at its index."""
+    from repro.api.spec import FeederPlan, GridPlan
+    clean = ExperimentSpec(
+        name="grid-frames", kind="grid",
+        scenario=ScenarioSpec(horizon_s=30 * MINUTE),
+        control=ControlSpec(cp_fidelity="ideal"), seeds=(1,),
+        grid=GridPlan(feeders=(FeederPlan(homes=4),
+                               FeederPlan(homes=4, mix="mixed"))))
+    lossy = replace(clean, faults=FaultPlan(seed=4, frame_loss=1.0))
+
+    def grid_bits(result):
+        grid = result.grid
+        return [(tuple(home.load_w.times), tuple(home.load_w.values))
+                for feeder in grid.feeders for home in feeder.homes] + [
+            tuple(grid.substation_w.values)]
+
+    baseline = grid_bits(run(clean, jobs=2, shard_size=2))
+    assert grid_bits(run(lossy, jobs=2, shard_size=2)) == baseline
+    assert last_injector().schedule("transport.")
+
+
 def test_corrupt_artifact_reads_degrade_to_recompute(tmp_path):
     cache = ResultCache(root=tmp_path / "cache")
     spec = tiny_spec(fault_seed=6, cache_corrupt=1.0)

@@ -1,12 +1,15 @@
-"""Fleet-scale execution: shard invariance, batched transport, partials.
+"""Fleet-scale execution: shard invariance, batched frames, partials.
 
-The load-bearing lock of PR 5: sharding, shared-memory transport and
-pre-reduced aggregation are *execution strategies*, so every
-``(shard_size, jobs, transport, coordination)`` combination must produce
-**bit-identical** results — value digests, not approximations.  The
+The load-bearing lock of fleet execution: sharding, the bytes series
+frame and pre-reduced aggregation are *execution strategies*, so every
+``(shard_size, jobs, coordination)`` combination must produce
+**bit-identical** results — value digests, not approximations — equal
+to a per-home reference computed here, home by home.  The
 exact-summation core (`aggregate._exact_row_sums`) is additionally
 checked against a brute-force ``math.fsum`` reference on randomized
-series.
+series, and partition invariance of
+:func:`~repro.neighborhood.aggregate.combine_partials` is a hypothesis
+property over arbitrary partitions.
 """
 
 import hashlib
@@ -15,11 +18,18 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.system import execute_config
 from repro.neighborhood import (
+    GridResult,
+    NeighborhoodResult,
     SeriesPartial,
     build_fleet,
     combine_partials,
+    coordinate_fleet,
+    coordinate_profiles,
     execute_fleet,
     partial_sum,
     plan_shards,
@@ -27,13 +37,8 @@ from repro.neighborhood import (
     sum_series,
 )
 from repro.neighborhood.aggregate import dedup_records
-from repro.neighborhood.shard import AUTO_SHARD_MIN_HOMES
-from repro.neighborhood.transport import (
-    pack_series,
-    pick_transport,
-    shared_memory_available,
-    unpack_series,
-)
+from repro.neighborhood.shard import DEFAULT_SHARD_SIZE
+from repro.neighborhood.transport import pack_series, unpack_series
 from repro.experiments.runner import WorkerFailure
 from repro.sim.monitor import StepSeries
 from repro.sim.units import MINUTE
@@ -64,34 +69,67 @@ def result_digest(result) -> str:
     return hashlib.sha256(repr(parts).encode()).hexdigest()
 
 
+def per_home_reference(fleet, coordination, horizon=None):
+    """What a fleet run must equal: every home run on its own,
+    in-process, a plain exact sum, and (coordinated) the feeder plane
+    with parent-side envelopes."""
+    homes = [execute_config(home.config()).portable()
+             for home in fleet.homes]
+    horizon = horizon if horizon is not None else fleet.horizon
+    if coordination == "feeder":
+        plan = coordinate_fleet(fleet, homes, horizon)
+        return NeighborhoodResult(fleet=fleet, homes=homes,
+                                  feeder_w=plan.coordinated_w,
+                                  horizon=horizon, coordination=plan)
+    return NeighborhoodResult(
+        fleet=fleet, homes=homes,
+        feeder_w=sum_series([home.load_w for home in homes]),
+        horizon=horizon)
+
+
+def per_home_grid(grid, coordination):
+    """The grid twin of :func:`per_home_reference`: per-home runs per
+    feeder, plain exact sums up the tree, both tiers negotiated on
+    parent-side envelopes."""
+    horizon = grid.horizon
+    tier = "independent" if coordination == "independent" else "feeder"
+    feeders = [per_home_reference(fleet, tier, horizon)
+               for fleet in grid.feeders]
+    every_home = [home.load_w for feeder in feeders
+                  for home in feeder.homes]
+    independent_w = sum_series(every_home, name="substation")
+    profiles = [feeder.feeder_w for feeder in feeders]
+    plan = None
+    if coordination == "independent":
+        substation_w = independent_w
+    elif coordination == "feeder":
+        substation_w = sum_series(profiles, name="substation")
+    else:
+        epoch = max(home.scenario.max_dcp
+                    for fleet in grid.feeders for home in fleet.homes)
+        plan = coordinate_profiles(profiles, horizon, epoch=epoch)
+        substation_w = plan.coordinated_w
+    return GridResult(grid=grid, feeders=feeders,
+                      substation_w=substation_w,
+                      independent_w=independent_w, horizon=horizon,
+                      coordination_mode=coordination, coordination=plan)
+
+
 # -- the headline lock: shard invariance --------------------------------------
 
 
 @pytest.mark.parametrize("coordination", ["independent", "feeder"])
 def test_results_bit_identical_across_shard_sizes_and_jobs(
         fleet, coordination, shutdown_pools_after):
-    """Digests equal for shard sizes {1, 8, N} x jobs {1, 4} x per-home."""
-    reference = result_digest(execute_fleet(fleet, jobs=1,
-                                            coordination=coordination,
-                                            shard_size=0))
-    for shard_size in (1, 8, N_HOMES):
+    """Shard sizes {1, 8, N, auto} x jobs {1, 4}: the per-home digest."""
+    reference = result_digest(per_home_reference(fleet, coordination))
+    for shard_size in (1, 8, N_HOMES, None):
         for jobs in (1, 4):
             run = execute_fleet(fleet, jobs=jobs,
                                 coordination=coordination,
                                 shard_size=shard_size)
             assert result_digest(run) == reference, \
                 (coordination, shard_size, jobs)
-
-
-def test_transports_bit_identical(fleet, monkeypatch,
-                                  shutdown_pools_after):
-    """The shm frame and the pickle-blob fallback carry the same bits."""
-    digests = set()
-    for transport in ("shm", "pickle"):
-        monkeypatch.setenv("REPRO_FLEET_TRANSPORT", transport)
-        run = execute_fleet(fleet, jobs=2, shard_size=4)
-        digests.add(result_digest(run))
-    assert len(digests) == 1
 
 
 # -- shard planning -----------------------------------------------------------
@@ -105,36 +143,43 @@ def test_shard_fleet_slices_preserve_homes(fleet):
     assert shards[1].name == f"{fleet.name}/shard1"
 
 
-def test_small_fleets_stay_per_home_by_default(fleet):
-    assert fleet.n_homes < AUTO_SHARD_MIN_HOMES
-    assert plan_shards(fleet) is None
-    assert plan_shards(fleet, shard_size=0) is None
+def test_small_fleet_is_one_in_process_shard(fleet):
+    assert fleet.n_homes < DEFAULT_SHARD_SIZE
+    [only] = plan_shards(fleet)
+    assert only.fleet.homes == fleet.homes
+    assert not only.framed
 
 
 def test_auto_sharding_kicks_in_at_fleet_scale(fleet):
-    big = build_fleet(2 * AUTO_SHARD_MIN_HOMES + 2, mix="suburb", seed=1)
+    big = build_fleet(2 * DEFAULT_SHARD_SIZE + 2, mix="suburb", seed=1)
     auto = plan_shards(big)
-    assert auto is not None and len(auto) > 1
+    assert len(auto) > 1
     assert tuple(home for s in auto for home in s.fleet.homes) == big.homes
     # jobs-aware sizing: several shards per worker for load balancing
     fanned = plan_shards(big, jobs=4)
     assert len(fanned) >= len(auto)
-    # explicit size wins; in-process shards carry no transport
+    # small fleets fan out too: about ceil(n / (jobs x 4)) homes a shard
+    assert [s.fleet.n_homes for s in plan_shards(fleet, jobs=2)] \
+        == [2] * (N_HOMES // 2)
+    # explicit size wins; only cross-process shards are framed
     forced = plan_shards(big, shard_size=16)
     assert [s.fleet.n_homes for s in forced] == [16] * 8 + [2]
-    assert all(s.transport is None for s in forced)
+    assert not any(s.framed for s in forced)
     crossed = plan_shards(big, shard_size=16, jobs=2)
-    assert all(s.transport in ("shm", "pickle") for s in crossed)
+    assert all(s.framed for s in crossed)
+    assert not plan_shards(big, shard_size=big.n_homes, jobs=2)[0].framed
 
 
 def test_bad_shard_size_rejected(fleet):
-    with pytest.raises(ValueError, match="shard_size"):
-        plan_shards(fleet, shard_size=-3)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="shard_size must be >= 1"):
+            plan_shards(fleet, shard_size=bad)
     with pytest.raises(ValueError, match="shard_size"):
         shard_fleet(fleet, 0)
 
 
-def test_worker_failure_names_the_failing_home_through_shards():
+def test_worker_failure_names_the_failing_home_through_shards(
+        shutdown_pools_after):
     from dataclasses import replace
     fleet = build_fleet(6, mix="mixed", seed=13, cp_fidelity="ideal",
                         horizon=HORIZON)
@@ -143,11 +188,12 @@ def test_worker_failure_names_the_failing_home_through_shards():
     homes[3] = replace(victim, scenario=replace(victim.scenario,
                                                 arrival_kind="bogus"))
     poisoned = replace(fleet, homes=tuple(homes))
-    with pytest.raises(WorkerFailure, match="home003"):
-        execute_fleet(poisoned, jobs=1, shard_size=2)
+    for jobs in (1, 2):  # in-process, then framed siblings
+        with pytest.raises(WorkerFailure, match="home003"):
+            execute_fleet(poisoned, jobs=jobs, shard_size=2)
 
 
-# -- batched transport --------------------------------------------------------
+# -- batched series frames ----------------------------------------------------
 
 
 def random_series(rng, name="s", max_events=60):
@@ -161,13 +207,10 @@ def random_series(rng, name="s", max_events=60):
     return series
 
 
-@pytest.mark.parametrize("transport", ["shm", "pickle"])
-def test_frame_round_trip_is_lossless(transport):
-    if transport == "shm" and not shared_memory_available():
-        pytest.skip("no shared memory on this platform")
+def test_frame_round_trip_is_lossless():
     rng = np.random.default_rng(7)
     group = [random_series(rng, f"h{i}") for i in range(15)]
-    frame = pickle.loads(pickle.dumps(pack_series(group, transport)))
+    frame = pickle.loads(pickle.dumps(pack_series(group)))
     out = unpack_series(frame)
     for original, rebuilt in zip(group, out):
         assert rebuilt.name == original.name
@@ -175,13 +218,41 @@ def test_frame_round_trip_is_lossless(transport):
         assert tuple(rebuilt.values) == tuple(original.values)
 
 
-def test_pick_transport_env_and_validation(monkeypatch):
-    monkeypatch.setenv("REPRO_FLEET_TRANSPORT", "pickle")
-    assert pick_transport() == "pickle"
-    monkeypatch.delenv("REPRO_FLEET_TRANSPORT")
-    assert pick_transport() in ("shm", "pickle")
-    with pytest.raises(ValueError, match="transport"):
-        pick_transport("carrier-pigeon")
+def step_series(name, points):
+    built = StepSeries(name)
+    for t, v in points:
+        built.record(t, v)
+    return built
+
+
+def sample_series():
+    return [step_series("a", [(0.0, 1.0), (5.0, 0.0)]),
+            step_series("b", []),
+            step_series("c", [(1.5, 2.5)])]
+
+
+def test_empty_frame_blob_is_deterministic():
+    # All-padding block: with np.empty padding this shipped one
+    # uninitialized float, making consecutive packs byte-unequal.
+    blobs = {pack_series([]).blob for _ in range(20)}
+    assert blobs == {np.zeros((2, 1)).tobytes()}
+
+
+def test_repeated_packs_are_byte_identical():
+    first = pack_series(sample_series())
+    for _ in range(10):
+        again = pack_series(sample_series())
+        assert again.blob == first.blob
+        assert again.names == first.names
+        assert again.lengths == first.lengths
+
+
+def test_empty_frame_roundtrips():
+    frame = pack_series([step_series("only", [])])
+    (rebuilt,) = unpack_series(frame)
+    assert rebuilt.name == "only"
+    assert len(rebuilt) == 0
+    assert unpack_series(pack_series([])) == []
 
 
 # -- exact aggregation --------------------------------------------------------
@@ -215,18 +286,25 @@ def test_sum_series_matches_fsum_reference(seed):
 
 
 @pytest.mark.parametrize("seed", [5, 23])
-def test_combine_partials_invariant_to_partitioning(seed):
-    rng = np.random.default_rng(seed)
-    for _ in range(15):
-        n = int(rng.integers(2, 25))
-        group = [random_series(rng, f"h{i}") for i in range(n)]
-        reference = reference_sum(group)
-        for size in (1, 3, n):
-            partials = [partial_sum(group[i:i + size])
-                        for i in range(0, n, size)]
-            combined = combine_partials(partials, group)
-            assert tuple(combined.times) == tuple(reference.times), size
-            assert tuple(combined.values) == tuple(reference.values), size
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_combine_partials_invariant_to_partitioning(seed, data):
+    """Any partition — uneven, with empty parts, in any order — folds to
+    the fsum reference: the guarantee every shard layout relies on."""
+    rng = np.random.default_rng(
+        [seed, data.draw(st.integers(0, 2**32 - 1), label="series seed")])
+    n = data.draw(st.integers(1, 24), label="homes")
+    group = [random_series(rng, f"h{i}") for i in range(n)]
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=10),
+                            label="cuts"))
+    bounds = [0, *cuts, n]
+    partials = data.draw(st.permutations(
+        [partial_sum(group[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]),
+        label="partials")
+    combined = combine_partials(partials, group)
+    reference = reference_sum(group)
+    assert tuple(combined.times) == tuple(reference.times)
+    assert tuple(combined.values) == tuple(reference.values)
 
 
 def test_combine_partials_empty_and_degenerate():
@@ -279,28 +357,6 @@ def test_from_arrays_behaves_like_recorded_series():
     assert len(pickle.dumps(clone)) > 0
 
 
-def test_failing_shard_does_not_strand_sibling_frames(monkeypatch,
-                                                      shutdown_pools_after):
-    """A failing home must not leak completed shards' shm segments."""
-    import glob
-    from dataclasses import replace
-    if not shared_memory_available():
-        pytest.skip("no shared memory on this platform")
-    monkeypatch.setenv("REPRO_FLEET_TRANSPORT", "shm")
-    fleet = build_fleet(6, mix="mixed", seed=13, cp_fidelity="ideal",
-                        horizon=HORIZON)
-    victim = fleet.homes[5]  # last shard fails; earlier ones complete
-    homes = list(fleet.homes)
-    homes[5] = replace(victim, scenario=replace(victim.scenario,
-                                                arrival_kind="bogus"))
-    poisoned = replace(fleet, homes=tuple(homes))
-    before = set(glob.glob("/dev/shm/*"))
-    with pytest.raises(WorkerFailure, match="home005"):
-        execute_fleet(poisoned, jobs=2, shard_size=2)
-    leaked = set(glob.glob("/dev/shm/*")) - before
-    assert not leaked
-
-
 def test_dedup_records_rejects_unsorted_streams():
     with pytest.raises(ValueError, match="lexsorted"):
         dedup_records(np.array([1.0, 0.5]), np.array([1.0, 2.0]))
@@ -332,15 +388,13 @@ def grid_value_digest(result) -> str:
 
 def test_grid_bit_identical_across_jobs_and_shard_sizes(
         shutdown_pools_after):
-    """jobs {1, 4} x shard sizes {2, auto, per-home}: one digest."""
+    """jobs {1, 4} x shard sizes {1, 2, N, auto}: the per-home digest."""
     from repro.neighborhood import build_grid, execute_grid
     grid = build_grid([{"homes": 6}, {"homes": 6, "mix": "mixed"}],
                       seed=3, cp_fidelity="ideal", horizon=HORIZON)
-    reference = grid_value_digest(
-        execute_grid(grid, jobs=1, coordination="substation",
-                     shard_size=0))
+    reference = grid_value_digest(per_home_grid(grid, "substation"))
     for jobs in (1, 4):
-        for shard_size in (2, None, 0):
+        for shard_size in (1, 2, 6, None):
             probe = execute_grid(grid, jobs=jobs,
                                  coordination="substation",
                                  shard_size=shard_size)

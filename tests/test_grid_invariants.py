@@ -18,6 +18,10 @@ exactly):
   (:func:`repro.neighborhood.grid.feeder_seed` of index 0 inherits the
   root seed), and worker-side envelope pre-reduction can never change a
   result bit relative to the parent-side computation.
+
+The per-home reference every execution shape is held to is computed in
+the tests (:func:`tests.test_fleet_sharding.per_home_grid`): each home
+run on its own, summed exactly, negotiated on parent-side envelopes.
 """
 
 import hashlib
@@ -46,6 +50,7 @@ from repro.neighborhood import (
     feeder_seed,
 )
 from repro.sim.units import MINUTE
+from tests.test_fleet_sharding import per_home_grid
 
 HORIZON = 40 * MINUTE
 MIXES = ("suburb", "apartments", "mixed")
@@ -104,16 +109,16 @@ def test_substation_aggregate_is_exact_fsum(topology_seed):
     assert list(result.independent_w.values) == fsum_reference(result)
 
 
-@pytest.mark.parametrize("shard_size", [1, 8, None, 0])
+@pytest.mark.parametrize("shard_size", [1, 8, None])
 def test_substation_aggregate_invariant_across_shard_sizes(
         shard_size, shutdown_pools_after):
     grid = small_grid(seed=5)
-    reference = execute_grid(grid, coordination="independent",
-                             shard_size=0)
-    probe = execute_grid(grid, coordination="independent",
-                         shard_size=shard_size)
-    assert grid_digest(probe) == grid_digest(reference)
-    assert list(probe.independent_w.values) == fsum_reference(probe)
+    reference = grid_digest(per_home_grid(grid, "independent"))
+    for jobs in (1, 4):
+        probe = execute_grid(grid, coordination="independent",
+                             shard_size=shard_size, jobs=jobs)
+        assert grid_digest(probe) == reference, jobs
+        assert list(probe.independent_w.values) == fsum_reference(probe)
 
 
 @pytest.mark.parametrize("topology_seed", [3, 19])
@@ -229,12 +234,13 @@ def test_substation_mode_with_one_feeder_equals_feeder_mode():
 @pytest.mark.parametrize("coordination", ["feeder", "substation"])
 def test_envelope_prereduction_never_changes_bits(
         coordination, shutdown_pools_after):
-    """Shard workers pre-reduce per-home envelopes; the parent path
-    computes them itself — both must negotiate identical offsets."""
+    """Shard workers pre-reduce per-home envelopes; the per-home
+    reference computes them parent-side — both must negotiate identical
+    offsets."""
     grid = small_grid(seed=17)
     sharded = execute_grid(grid, coordination=coordination, shard_size=2)
-    per_home = execute_grid(grid, coordination=coordination, shard_size=0)
-    assert grid_digest(sharded) == grid_digest(per_home)
+    assert grid_digest(sharded) == \
+        grid_digest(per_home_grid(grid, coordination))
 
 
 # -- the spec surface ------------------------------------------------------
