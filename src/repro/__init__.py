@@ -24,7 +24,6 @@ from repro.core import (
     HanConfig,
     HanSystem,
     RunResult,
-    run_experiment,
 )
 from repro.workloads import PAPER_RATES, Scenario, paper_scenario
 
@@ -42,6 +41,5 @@ __all__ = [
     "RunResult",
     "Scenario",
     "paper_scenario",
-    "run_experiment",
     "__version__",
 ]

@@ -1,10 +1,7 @@
 """One front door for every experiment: declarative, serializable specs.
 
-The four historical entry points — ``run_experiment`` on a
-:class:`~repro.core.system.HanConfig`, the ``compare_policies`` /
-``sweep_rates`` grids, the experiment ``REGISTRY`` and
-``run_neighborhood`` over a fleet — are one pipeline wearing four
-argument conventions.  This package folds them into a single declarative
+A single home, a policy/rate sweep, a registry artefact, a fleet and a
+grid are one pipeline.  This package gives them a single declarative
 API:
 
 * :class:`~repro.api.spec.ExperimentSpec` — the experiment as *data*,
@@ -31,7 +28,7 @@ Quickstart::
     print(result.stats()[0].peak_kw, result.provenance.short_hash)
 
 See ``docs/experiment-spec.md`` for the full schema and the migration
-table from the legacy call sites (which live on as deprecation shims).
+table from the removed legacy call sites.
 """
 
 from repro.api.cache import CacheEntry, ResultCache, resolve_cache

@@ -19,8 +19,8 @@ engine runs:
   stays import-light and cycle-free).
 
 Grid order is load-bearing: sweep cells flatten as (rate, policy, seed)
-with the exact run names the legacy ``sweep_rates``/``compare_policies``
-used, so results stay bit-identical through the deprecation shims.
+with stable run names, so worker-failure messages and result order do
+not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -127,8 +127,8 @@ def compile_run_specs(spec: ExperimentSpec) -> list:
     """Flatten a single/sweep spec into its ordered RunSpec batch.
 
     Single: one run per seed.  Sweep: the full (rate, policy, seed) grid
-    in that nesting order — run names match the legacy grid builders so
-    worker-failure messages and result ordering are unchanged.
+    in that nesting order, with stable run names for worker-failure
+    messages.
     """
     from repro.experiments.runner import RunSpec
     if spec.kind == "single":

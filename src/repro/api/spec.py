@@ -29,7 +29,7 @@ Layout of the tree::
 Every field carries the same units as its compiled counterpart (seconds,
 watts), so compiling a spec and re-deriving a spec from the compiled
 object (:func:`spec_from_config`) are exact inverses — the property the
-deprecation-shim equivalence tests pin down.
+``run()``-versus-``execute_config`` equivalence tests pin down.
 """
 
 from __future__ import annotations
@@ -166,9 +166,10 @@ class GridPlan:
 class SweepSpec:
     """Sweep axes: arrival rates x policies (seeds ride on the spec).
 
-    An empty ``rates`` tuple sweeps policies only (the
-    ``compare_policies`` shape); otherwise every (rate, policy, seed)
-    cell becomes one run (the Figure 2(b)/(c) shape).
+    An empty ``rates`` tuple sweeps policies only
+    (:meth:`repro.api.run.Result.by_policy`); otherwise every (rate,
+    policy, seed) cell becomes one run (the Figure 2(b)/(c) shape,
+    :meth:`repro.api.run.Result.sweep_table`).
     """
 
     rates: tuple[float, ...] = ()
@@ -197,10 +198,7 @@ class ArtefactSpec:
 class ExperimentSpec:
     """One fully-described experiment, serializable as JSON.
 
-    The only execution entry point is :func:`repro.api.run.run`; the
-    legacy call sites (``run_experiment``, ``compare_policies``,
-    ``sweep_rates``, ``run_neighborhood``) survive as deprecation shims
-    that construct one of these and delegate.
+    The only execution entry point is :func:`repro.api.run.run`.
     """
 
     name: str
@@ -433,9 +431,8 @@ def spec_from_config(config, until: Optional[float] = None,
                      name: Optional[str] = None) -> ExperimentSpec:
     """Losslessly re-express a HanConfig as a single-run ExperimentSpec.
 
-    The exact inverse of :func:`repro.api.compile.compile_config`: the
-    deprecation shim for ``run_experiment`` delegates through this, and
-    the equivalence test asserts the round trip is bit-identical.
+    The exact inverse of :func:`repro.api.compile.compile_config`; the
+    equivalence test asserts the round trip is bit-identical.
     """
     control = ControlSpec(
         policy=config.policy,

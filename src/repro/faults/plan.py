@@ -41,8 +41,9 @@ class FaultPlan:
       publishing, so its lease expires and another worker takes over
       (exercises exactly-once publication);
     * ``frame_loss`` — a cross-process shard's series frame is lost
-      before the parent adopts it (exercises the
-      ``FrameUnavailableError`` in-process re-execution fallback);
+      before the parent adopts it (exercises the in-process shard
+      re-execution fallback in
+      :func:`repro.neighborhood.shard.execute_shards`);
     * ``cache_corrupt`` — a stored artifact reads back corrupt
       (exercises the discard-and-recompute path);
     * ``telemetry_drop`` / ``telemetry_delay`` / ``telemetry_dup`` —

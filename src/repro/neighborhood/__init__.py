@@ -49,7 +49,6 @@ from repro.neighborhood.federation import (
     COORDINATION_MODES,
     NeighborhoodResult,
     execute_fleet,
-    run_neighborhood,
 )
 from repro.neighborhood.fleet import (
     FleetSpec,
@@ -118,7 +117,6 @@ __all__ = [
     "renegotiate_offsets",
     "rotate_series",
     "rotate_window",
-    "run_neighborhood",
     "shard_fleet",
     "snap_bin",
     "sum_series",

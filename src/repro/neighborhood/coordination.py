@@ -34,7 +34,7 @@ homes, in the spirit of distributed neighborhood scheduling
 
 Determinism: the plane consumes only the (already bit-deterministic)
 per-home results, in fleet order, and draws no randomness — so
-``run_neighborhood(..., coordination="feeder")`` stays bit-identical for
+``execute_fleet(..., coordination="feeder")`` stays bit-identical for
 any ``jobs`` count.
 
 Safety: the per-bin envelope makes the negotiated objective an *upper
@@ -42,14 +42,18 @@ bound* on the realized feeder peak, so the plane re-evaluates the final
 plan against the realized profiles and falls back to zero offsets
 (``applied=False``) if staggering would not strictly lower the realized
 coincident peak.  The feeder plane is advisory — it never regresses the
-feeder it coordinates.
+feeder it coordinates.  That check lives in one apply step,
+:func:`_apply_offsets`, which the feeder, substation
+(:func:`repro.neighborhood.grid.coordinate_profiles`) and online-epoch
+(:func:`repro.neighborhood.online.coordinate_fleet_online`) tiers all
+share.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -59,7 +63,7 @@ from repro.sim.monitor import StepSeries
 from repro.st.rounds import CpStats
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.neighborhood.fleet import FleetSpec
+    from repro.neighborhood.fleet import FleetSpec, HomeSpec
 
 #: serialized footprint of a HomeItem header on the wire, bytes
 HOME_ITEM_HEADER_BYTES: int = 10
@@ -502,8 +506,78 @@ def renegotiate_offsets(plane: FeederPlane, changed: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# putting it together
+# the shared apply step: every tier negotiates, rotates and guards here
 # ---------------------------------------------------------------------------
+
+def _phase_epoch(epoch: Optional[float], homes: Iterable["HomeSpec"],
+                 horizon: float) -> float:
+    """The phase period offsets live in: ``epoch``, else the largest
+    ``maxDCP`` of ``homes`` (the horizon when there are none), capped at
+    the horizon."""
+    if epoch is None:
+        epoch = max((home.scenario.max_dcp for home in homes),
+                    default=horizon)
+    return min(epoch, horizon)
+
+
+def _apply_offsets(series: Sequence[StepSeries],
+                   offsets: Sequence[float], baseline: StepSeries,
+                   start: float, end: float, guard: bool,
+                   name: str = "feeder",
+                   ) -> tuple[list[StepSeries], StepSeries, bool]:
+    """Rotate, sum, guard, decline: apply one plan over ``[start, end)``.
+
+    Every series' window is rotated by its offset (:func:`rotate_window`)
+    and the rotated windows are summed.  The plan stands only when some
+    offset is non-zero and — with ``guard`` — the rotated sum's peak over
+    the window is more than 1e-9 W below ``baseline``'s; otherwise every
+    window comes back un-rotated and the sum is ``baseline`` itself.
+    Returns ``(contributions, coordinated, applied)``.  The feeder,
+    substation and online-epoch tiers all apply their plans through this
+    one step, so none of them can raise the peak it coordinates.
+    """
+    rotated = [rotate_window(one, offset, start, end)
+               for one, offset in zip(series, offsets)]
+    if not any(offset != 0.0 for offset in offsets):
+        return rotated, baseline, False
+    coordinated = sum_series(rotated, name=name)
+    if guard and coordinated.maximum(start, end) \
+            >= baseline.maximum(start, end) - 1e-9:
+        return ([rotate_window(one, 0.0, start, end) for one in series],
+                baseline, False)
+    return rotated, coordinated, True
+
+
+def _negotiate_and_apply(series: Sequence[StepSeries],
+                         baseline: StepSeries, horizon: float,
+                         epoch: float, config: FeederConfig,
+                         envelopes: Optional[
+                             Sequence[tuple[float, ...]]] = None,
+                         name: str = "feeder") -> FeederCoordination:
+    """One batch negotiation over ``[0, horizon)``, applied and guarded.
+
+    Publishes each series' :func:`phase_envelope` (or the precomputed
+    ``envelopes``, same bin), runs :func:`negotiate_offsets` to
+    convergence and applies the plan with :func:`_apply_offsets`.
+    """
+    bin_s = snap_bin(horizon, config.bin_s)
+    shifts = max(int(epoch / bin_s + 1e-9), 1)
+    if envelopes is None:
+        envelopes = [phase_envelope(one, horizon, bin_s) for one in series]
+    ids = range(len(series))
+    claims, cp_stats, sweeps = negotiate_offsets(
+        ids, dict(zip(ids, envelopes)), shifts, config)
+    planned = tuple(claims[index] * bin_s for index in ids)
+    contributions, coordinated, applied = _apply_offsets(
+        series, planned, baseline, 0.0, horizon, config.guard, name)
+    return FeederCoordination(
+        epoch=epoch, bin_s=bin_s,
+        planned_offsets_s=planned,
+        offsets_s=planned if applied else tuple(0.0 for _ in planned),
+        applied=applied, sweeps=sweeps, cp_stats=cp_stats,
+        contributions_w=contributions, independent_w=baseline,
+        coordinated_w=coordinated)
+
 
 def coordinate_fleet(fleet: "FleetSpec", results: Sequence[RunResult],
                      horizon: float,
@@ -516,7 +590,7 @@ def coordinate_fleet(fleet: "FleetSpec", results: Sequence[RunResult],
 
     ``results`` are the per-home :class:`~repro.core.system.RunResult`
     objects of ``fleet`` (fleet order), as produced by the independent
-    fan-out in :func:`~repro.neighborhood.federation.run_neighborhood`.
+    fan-out in :func:`~repro.neighborhood.federation.execute_fleet`.
     Pure post-exchange: no randomness, no re-simulation, bit-identical
     for any worker count.
 
@@ -538,50 +612,16 @@ def coordinate_fleet(fleet: "FleetSpec", results: Sequence[RunResult],
         raise ValueError(
             f"fleet has {fleet.n_homes} homes but got {len(results)} "
             f"results")
-    epoch = config.epoch if config.epoch is not None \
-        else max(home.scenario.max_dcp for home in fleet.homes)
-    epoch = min(epoch, horizon)
-    bin_s = snap_bin(horizon, config.bin_s)
-    shifts = max(int(epoch / bin_s + 1e-9), 1)
-    home_ids = [home.home_id for home in fleet.homes]
-    if envelopes is not None:
-        if len(envelopes) != fleet.n_homes:
-            raise ValueError(
-                f"fleet has {fleet.n_homes} homes but got "
-                f"{len(envelopes)} precomputed envelopes")
-        envelope_map = {home.home_id: envelope
-                        for home, envelope in zip(fleet.homes, envelopes)}
-    else:
-        envelope_map = {
-            home.home_id: phase_envelope(result.load_w, horizon, bin_s)
-            for home, result in zip(fleet.homes, results)}
-    claims, cp_stats, sweeps = negotiate_offsets(home_ids, envelope_map,
-                                                 shifts, config)
-    planned = tuple(claims[home.home_id] * bin_s
-                    for home in fleet.homes)
+    if envelopes is not None and len(envelopes) != fleet.n_homes:
+        raise ValueError(
+            f"fleet has {fleet.n_homes} homes but got "
+            f"{len(envelopes)} precomputed envelopes")
+    series = [result.load_w for result in results]
     if partials is not None:
-        independent = combine_partials(partials,
-                                       [r.load_w for r in results])
+        independent = combine_partials(partials, series)
     else:
-        independent = sum_series([r.load_w for r in results])
-    rotated = [rotate_series(result.load_w, offset, horizon)
-               for result, offset in zip(results, planned)]
-    coordinated = sum_series(rotated)
-    applied = True
-    if config.guard and any(offset != 0.0 for offset in planned):
-        if coordinated.maximum(0.0, horizon) \
-                >= independent.maximum(0.0, horizon) - 1e-9:
-            applied = False
-    elif all(offset == 0.0 for offset in planned):
-        applied = False
-    if not applied:
-        rotated = [rotate_series(result.load_w, 0.0, horizon)
-                   for result in results]
-        coordinated = independent
-    return FeederCoordination(
-        epoch=epoch, bin_s=bin_s,
-        planned_offsets_s=planned,
-        offsets_s=planned if applied else tuple(0.0 for _ in planned),
-        applied=applied, sweeps=sweeps, cp_stats=cp_stats,
-        contributions_w=rotated, independent_w=independent,
-        coordinated_w=coordinated)
+        independent = sum_series(series)
+    return _negotiate_and_apply(
+        series, independent, horizon,
+        _phase_epoch(config.epoch, fleet.homes, horizon), config,
+        envelopes=envelopes)

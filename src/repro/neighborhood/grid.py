@@ -57,10 +57,9 @@ from repro.neighborhood.aggregate import (
 from repro.neighborhood.coordination import (
     FeederConfig,
     FeederCoordination,
+    _negotiate_and_apply,
+    _phase_epoch,
     coordinate_fleet,
-    negotiate_offsets,
-    phase_envelope,
-    rotate_series,
     snap_bin,
 )
 from repro.neighborhood.federation import NeighborhoodResult
@@ -173,16 +172,17 @@ def coordinate_profiles(profiles: Sequence[StepSeries], horizon: float,
     """Negotiate phase offsets between already-aggregated profiles.
 
     The substation tier is the feeder plane applied to *feeder-level*
-    profiles instead of homes: each profile is compressed to its
+    profiles instead of homes, through the same negotiate → rotate →
+    guard step as
+    :func:`~repro.neighborhood.coordination.coordinate_fleet`: each
+    profile is compressed to its
     :func:`~repro.neighborhood.coordination.phase_envelope`, the same
-    round-robin claim rounds
-    (:func:`~repro.neighborhood.coordination.negotiate_offsets`) pick
-    per-profile offsets, and offsets apply as
-    :func:`~repro.neighborhood.coordination.rotate_series` — conserving
-    each profile's energy and individual peak exactly.  The same
-    realized-improvement guard re-checks the rotated sum against the
-    un-rotated baseline and declines (zero offsets, ``applied=False``)
-    unless the realized aggregate peak strictly improves.
+    round-robin claim rounds pick per-profile offsets, and offsets apply
+    as energy- and peak-conserving rotation under the same
+    realized-improvement guard, which declines (zero offsets,
+    ``applied=False``) unless the realized aggregate peak strictly
+    improves.  The phase period is ``epoch``, else
+    :attr:`FeederConfig.epoch`, else the horizon.
 
     In the returned :class:`FeederCoordination`, ``independent_w`` is
     the *pre-negotiation baseline* at this tier — the plain sum of the
@@ -193,39 +193,12 @@ def coordinate_profiles(profiles: Sequence[StepSeries], horizon: float,
         config = FeederConfig()
     if not profiles:
         raise ValueError("need at least one profile to coordinate")
-    resolved_epoch = epoch if epoch is not None else \
-        (config.epoch if config.epoch is not None else horizon)
-    resolved_epoch = min(resolved_epoch, horizon)
-    bin_s = snap_bin(horizon, config.bin_s)
-    shifts = max(int(resolved_epoch / bin_s + 1e-9), 1)
-    ids = list(range(len(profiles)))
-    envelopes = {index: phase_envelope(profile, horizon, bin_s)
-                 for index, profile in enumerate(profiles)}
-    claims, cp_stats, sweeps = negotiate_offsets(ids, envelopes, shifts,
-                                                 config)
-    planned = tuple(claims[index] * bin_s for index in ids)
-    baseline = sum_series(list(profiles), name=name)
-    rotated = [rotate_series(profile, offset, horizon)
-               for profile, offset in zip(profiles, planned)]
-    coordinated = sum_series(rotated, name=name)
-    applied = True
-    if config.guard and any(offset != 0.0 for offset in planned):
-        if coordinated.maximum(0.0, horizon) \
-                >= baseline.maximum(0.0, horizon) - 1e-9:
-            applied = False
-    elif all(offset == 0.0 for offset in planned):
-        applied = False
-    if not applied:
-        rotated = [rotate_series(profile, 0.0, horizon)
-                   for profile in profiles]
-        coordinated = baseline
-    return FeederCoordination(
-        epoch=resolved_epoch, bin_s=bin_s,
-        planned_offsets_s=planned,
-        offsets_s=planned if applied else tuple(0.0 for _ in planned),
-        applied=applied, sweeps=sweeps, cp_stats=cp_stats,
-        contributions_w=rotated, independent_w=baseline,
-        coordinated_w=coordinated)
+    profiles = list(profiles)
+    return _negotiate_and_apply(
+        profiles, sum_series(profiles, name=name), horizon,
+        _phase_epoch(epoch if epoch is not None else config.epoch, (),
+                     horizon),
+        config, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +426,10 @@ def execute_grid(grid: GridSpec, jobs: int = 1,
             [feeder.feeder_w for feeder in feeder_results],
             name="substation")
     else:
-        epoch = config.epoch if config.epoch is not None else max(
-            home.scenario.max_dcp
-            for fleet in grid.feeders for home in fleet.homes)
+        epoch = _phase_epoch(
+            config.epoch,
+            (home for fleet in grid.feeders for home in fleet.homes),
+            horizon)
         substation_plan = coordinate_profiles(
             [feeder.feeder_w for feeder in feeder_results], horizon,
             config=config, epoch=epoch)

@@ -22,10 +22,12 @@ The epoch loop (:func:`coordinate_fleet_online`), per epoch:
    from-scratch; the first epoch is a cold full negotiation;
 3. **apply + guard** — offsets rotate each home's *realized* window
    (:func:`~repro.neighborhood.coordination.rotate_window`, energy- and
-   per-home-peak-conserving); the realized-improvement guard re-checks
-   each epoch independently and declines to zero offsets any epoch
-   whose rotated sum does not strictly beat the independent profile —
-   so online coordination never raises any epoch's peak;
+   per-home-peak-conserving) through the apply step the batch tiers
+   share (``coordination._apply_offsets``): the realized-improvement
+   guard re-checks each epoch independently and declines to zero
+   offsets any epoch whose rotated sum does not strictly beat the
+   independent profile — so online coordination never raises any
+   epoch's peak;
 4. **ingest** — the realized window streams into telemetry
    (journalled in a replayable
    :class:`~repro.telemetry.log.TelemetryLog`), becoming history for
@@ -72,9 +74,10 @@ from repro.neighborhood.coordination import (
     FeederConfig,
     FeederCoordination,
     FeederPlane,
+    _apply_offsets,
+    _phase_epoch,
     negotiate_offsets,
     renegotiate_offsets,
-    rotate_window,
     snap_bin,
 )
 from repro.sim.monitor import StepSeries
@@ -227,23 +230,20 @@ def coordinate_fleet_online(fleet: "FleetSpec",
         raise ValueError(
             f"fleet has {fleet.n_homes} homes but got {len(results)} "
             f"results")
-    phase = config.epoch if config.epoch is not None \
-        else max(home.scenario.max_dcp for home in fleet.homes)
-    phase = min(phase, horizon)
-    windows = epoch_grid(horizon, phase)
+    windows = epoch_grid(horizon,
+                         _phase_epoch(config.epoch, fleet.homes, horizon))
     epoch_s = horizon / len(windows)
     bin_s = snap_bin(epoch_s, config.bin_s)
     bins = max(int(round(epoch_s / bin_s)), 1)
     shifts = bins
 
     home_ids = [home.home_id for home in fleet.homes]
-    realized = {home.home_id: result.load_w
-                for home, result in zip(fleet.homes, results)}
+    loads = [result.load_w for result in results]
+    realized = dict(zip(home_ids, loads))
     if partials is not None:
-        independent = combine_partials(partials,
-                                       [r.load_w for r in results])
+        independent = combine_partials(partials, loads)
     else:
-        independent = sum_series([r.load_w for r in results])
+        independent = sum_series(loads)
     # Imported here, not at module top: repro.forecast itself imports
     # the coordination module (for envelope shapes), and this package's
     # __init__ pulls us in — a top-level import would cycle whenever
@@ -338,18 +338,8 @@ def coordinate_fleet_online(fleet: "FleetSpec",
         planned = tuple(
             0.0 if home_id in forced_zero else claims[home_id] * bin_s
             for home_id in home_ids)
-        rotated = [rotate_window(realized[home_id], offset, start, end)
-                   for home_id, offset in zip(home_ids, planned)]
-        independent_peak = independent.maximum(start, end)
-        coordinated_peak = sum_series(rotated).maximum(start, end)
-        applied = any(offset != 0.0 for offset in planned)
-        if applied and config.guard \
-                and coordinated_peak >= independent_peak - 1e-9:
-            applied = False
-        if not applied:
-            rotated = [rotate_window(realized[home_id], 0.0, start, end)
-                       for home_id in home_ids]
-            coordinated_peak = independent_peak
+        rotated, coordinated_window, applied = _apply_offsets(
+            loads, planned, independent, start, end, config.guard)
         offsets = planned if applied else tuple(0.0 for _ in planned)
         for series, window in zip(contributions, rotated):
             series.append(window.times, window.values)
@@ -385,8 +375,8 @@ def coordinate_fleet_online(fleet: "FleetSpec",
             index=index, start_s=start, end_s=end, applied=applied,
             offsets_s=offsets, changed_homes=len(changed),
             cp_rounds=stats.rounds_total,
-            independent_peak_w=independent_peak,
-            coordinated_peak_w=coordinated_peak,
+            independent_peak_w=independent.maximum(start, end),
+            coordinated_peak_w=coordinated_window.maximum(start, end),
             stale_homes=epoch_stale))
         previous = predictions
         last_planned = planned

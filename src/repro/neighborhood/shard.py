@@ -36,10 +36,11 @@ from typing import Optional, Sequence
 
 from repro.analysis.loadstats import LoadStats, load_stats
 from repro.core.system import RunResult, execute_config
+from repro.faults import get_injector
 from repro.neighborhood.aggregate import SeriesPartial, partial_sum
 from repro.neighborhood.fleet import FleetSpec
-from repro.neighborhood.transport import FrameUnavailableError, \
-    SeriesFrame, pack_series, unpack_series
+from repro.neighborhood.transport import SeriesFrame, pack_series, \
+    unpack_series
 
 #: Auto shard size for in-process (``jobs=1``) fleet runs.
 DEFAULT_SHARD_SIZE = 64
@@ -190,7 +191,10 @@ def execute_shards(shards: Sequence[ShardSpec], jobs: int = 1,
     all in fleet order; ``envelopes`` is ``None`` unless the shards
     carried an :attr:`ShardSpec.envelope_bin_s`.  Cross-process shards
     come back as one frame each; the series are re-attached as
-    zero-copy views before return.
+    zero-copy views before return.  Under an active fault plan the
+    ``transport.frame`` site, keyed ``shard{index}`` (indices are
+    global across a grid's feeders), can lose a frame; that shard then
+    re-executes in-process.
 
     ``executor`` swaps the per-shard worker body (default
     :func:`_execute_shard`): a module-level picklable callable with the
@@ -215,19 +219,20 @@ def execute_shards(shards: Sequence[ShardSpec], jobs: int = 1,
             raise WorkerFailure(name, payload)
         outcome: ShardOutcome = payload
         if outcome.frame is not None:
-            try:
-                series = unpack_series(outcome.frame)
-            except FrameUnavailableError:
-                # The shard's batched series are gone (a transport.frame
-                # fault).  Home runs are bit-deterministic, so
-                # re-executing the shard here, in-process and unframed,
-                # reproduces the lost data exactly.
+            injector = get_injector()
+            if injector is not None and injector.fire(
+                    "transport.frame", f"shard{shard.index}"):
+                # The shard's frame is lost (a transport.frame fault).
+                # Home runs are bit-deterministic, so re-executing the
+                # shard here, in-process and unframed, reproduces the
+                # lost data exactly.
                 status, name, payload = _execute_shard(
                     replace(shard, framed=False))
                 if status == "err":
                     raise WorkerFailure(name, payload)
                 outcome = payload
             else:
+                series = unpack_series(outcome.frame)
                 outcome.homes = [replace(result, load_w=one)
                                  for result, one in zip(outcome.homes,
                                                         series)]

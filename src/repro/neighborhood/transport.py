@@ -25,18 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.faults import get_injector
 from repro.sim.monitor import StepSeries
-
-
-class FrameUnavailableError(RuntimeError):
-    """A shard's series frame cannot be adopted by the parent.
-
-    Raised by :func:`unpack_series` when the ``transport.frame`` fault
-    site fires (:attr:`repro.faults.FaultPlan.frame_loss`).  The frame's
-    data is gone; the shard must be re-executed, which
-    :func:`repro.neighborhood.shard.execute_shards` does in-process.
-    """
 
 
 @dataclass
@@ -80,19 +69,7 @@ def pack_series(series_list: Sequence[StepSeries]) -> SeriesFrame:
 
 
 def unpack_series(frame: SeriesFrame) -> list[StepSeries]:
-    """Rebuild the batched series from a frame (parent side), zero-copy.
-
-    Under an active fault plan, the ``transport.frame`` site (keyed on
-    the frame's first series name — stable for a given shard layout) can
-    make the frame unavailable: a :class:`FrameUnavailableError` is
-    raised, exercising callers' re-execution fallback.
-    """
-    injector = get_injector()
-    if injector is not None and frame.names and injector.fire(
-            "transport.frame", frame.names[0]):
-        raise FrameUnavailableError(
-            f"series frame {frame.names[0]!r} is unavailable: injected "
-            f"frame loss (re-execute the shard)")
+    """Rebuild the batched series from a frame (parent side), zero-copy."""
     block = np.frombuffer(frame.blob, dtype=np.float64).reshape(2, -1)
     series_list: list[StepSeries] = []
     cursor = 0

@@ -1,8 +1,6 @@
-"""The unified run() entry point and the legacy-shim equivalence locks."""
+"""The unified run() entry point and its bit-identity to the primitives."""
 
 import warnings
-
-import pytest
 
 from repro.api import (
     ArtefactSpec,
@@ -16,9 +14,8 @@ from repro.api import (
     spec_from_scenario,
     spec_hash,
 )
-from repro.core.system import HanConfig, execute_config, run_experiment
-from repro.experiments.runner import compare_policies, sweep_rates
-from repro.neighborhood import build_fleet, execute_fleet, run_neighborhood
+from repro.core.system import HanConfig, execute_config
+from repro.neighborhood import build_fleet, execute_fleet
 from repro.sim.units import MINUTE
 from repro.workloads import paper_scenario
 
@@ -110,42 +107,34 @@ def test_run_artefact_kind():
     assert "Communication Plane" in result.artefact.text
 
 
-# -- deprecation shims: warn once, results bit-identical ---------------------
+# -- run() is bit-identical to the execution primitives ----------------------
 
 
-def test_run_experiment_shim_warns_and_matches():
+def test_run_single_matches_execute_config():
     config = HanConfig(scenario=paper_scenario("low"), policy="coordinated",
                        cp_fidelity="ideal", seed=4)
-    with pytest.warns(DeprecationWarning, match="run_experiment"):
-        shimmed = run_experiment(config, until=SHORT)
     via_api = run(spec_from_config(config, until=SHORT)).runs[0]
-    assert_same_run(shimmed, via_api)
-    # and both match the raw execution primitive
-    assert_same_run(shimmed, execute_config(config, until=SHORT))
+    assert_same_run(via_api, execute_config(config, until=SHORT))
 
 
-def test_compare_policies_shim_warns_and_matches():
+def test_run_sweep_by_policy_matches_execute_config():
     scenario = paper_scenario("low")
-    with pytest.warns(DeprecationWarning, match="compare_policies"):
-        shimmed = compare_policies(scenario, seeds=(1,),
-                                   cp_fidelity="ideal", horizon=SHORT)
     spec = ExperimentSpec(
         name="x", kind="sweep", scenario=spec_from_scenario(scenario),
         control=ControlSpec(cp_fidelity="ideal"), seeds=(1,),
         until_s=SHORT, sweep=SweepSpec(rates=()))
     via_api = run(spec).by_policy()
-    assert set(shimmed) == set(via_api)
-    for policy in shimmed:
-        for a, b in zip(shimmed[policy].results, via_api[policy].results):
-            assert_same_run(a, b)
+    assert set(via_api) == {"coordinated", "uncoordinated"}
+    for policy, outcome in via_api.items():
+        config = HanConfig(scenario=scenario, policy=policy,
+                           cp_fidelity="ideal", seed=1)
+        [one] = outcome.results
+        assert_same_run(one, execute_config(config, until=SHORT))
 
 
-def test_sweep_rates_shim_warns_and_matches():
+def test_run_sweep_table_matches_execute_config():
     from dataclasses import replace
     scenario = paper_scenario("low")
-    with pytest.warns(DeprecationWarning, match="sweep_rates"):
-        shimmed = sweep_rates(scenario, rates=[18.0], seeds=(1,),
-                              cp_fidelity="ideal", horizon=SHORT)
     spec = ExperimentSpec(
         name="x", kind="sweep",
         # the rate axis owns each cell's rate; the base scenario's own
@@ -155,40 +144,28 @@ def test_sweep_rates_shim_warns_and_matches():
         control=ControlSpec(cp_fidelity="ideal"), seeds=(1,),
         until_s=SHORT, sweep=SweepSpec(rates=(18.0,)))
     via_api = run(spec).sweep_table()
-    assert set(shimmed) == set(via_api)
-    for rate in shimmed:
-        for policy in shimmed[rate]:
-            for a, b in zip(shimmed[rate][policy].results,
-                            via_api[rate][policy].results):
-                assert_same_run(a, b)
+    assert set(via_api) == {18.0}
+    for policy, outcome in via_api[18.0].items():
+        config = HanConfig(scenario=scenario.with_rate(18.0),
+                           policy=policy, cp_fidelity="ideal", seed=1)
+        [one] = outcome.results
+        assert_same_run(one, execute_config(config, until=SHORT))
 
 
-def test_run_neighborhood_shim_warns_and_matches():
+def test_run_neighborhood_matches_execute_fleet():
     fleet = build_fleet(2, mix="mixed", seed=3, cp_fidelity="ideal",
                         horizon=SHORT)
-    with pytest.warns(DeprecationWarning, match="run_neighborhood"):
-        shimmed = run_neighborhood(fleet)
     spec = ExperimentSpec(
         name="x", kind="neighborhood",
         scenario=ScenarioSpec(horizon_s=SHORT),
         control=ControlSpec(cp_fidelity="ideal"), seeds=(3,),
         fleet=FleetPlan(homes=2, mix="mixed"))
     via_api = run(spec).neighborhood
-    assert series_points(shimmed.feeder_w) == \
-        series_points(via_api.feeder_w)
-    for a, b in zip(shimmed.homes, via_api.homes):
+    direct = execute_fleet(fleet)
+    assert series_points(via_api.feeder_w) == \
+        series_points(direct.feeder_w)
+    for a, b in zip(via_api.homes, direct.homes):
         assert_same_run(a, b)
-
-
-def test_shims_emit_exactly_one_warning():
-    config = HanConfig(scenario=paper_scenario("low"),
-                       cp_fidelity="ideal", seed=1)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        run_experiment(config, until=10 * MINUTE)
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
 
 
 def test_execute_fleet_is_warning_free():

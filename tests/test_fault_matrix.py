@@ -336,6 +336,22 @@ def test_frame_loss_falls_back_to_bit_identical_reexecution():
     assert fired, "sharded cross-process run must probe the frame site"
 
 
+
+def test_frame_loss_is_decided_per_shard():
+    """The frame site keys on the shard index, so a partial loss rate
+    loses some frames of a run — not all of them or none at once."""
+    clean = ExperimentSpec(
+        name="frames-per-shard", kind="neighborhood",
+        scenario=ScenarioSpec(horizon_s=30 * MINUTE),
+        control=ControlSpec(cp_fidelity="ideal"), seeds=(1,),
+        fleet=FleetPlan(homes=8, mix="suburb"))
+    lossy = replace(clean, faults=FaultPlan(seed=4, frame_loss=0.5))
+    baseline = result_digest(run(clean, jobs=2, shard_size=1))
+    assert result_digest(run(lossy, jobs=2, shard_size=1)) == baseline
+    # One fired decision per re-executed shard.
+    lost = {key for _site, key in last_injector().schedule("transport.")}
+    assert lost and lost < {f"shard{index}" for index in range(8)}, lost
+
 def test_grid_frame_loss_reexecutes_the_lost_shard_of_every_feeder(
         shutdown_pools_after):
     """Grid shard indices run globally across feeders; the fallback must

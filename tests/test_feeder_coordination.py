@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.neighborhood import (
@@ -27,6 +27,7 @@ from repro.neighborhood import (
     execute_fleet,
 )
 from repro.neighborhood import coordination
+from repro.neighborhood.aggregate import sum_series
 from repro.sim.monitor import StepSeries
 from repro.sim.units import MINUTE
 
@@ -101,6 +102,89 @@ def test_rotation_shifts_values():
     for t in [0.0, 3.0, 10.0, 47.0]:
         assert rotated.at((t + 5.0) % 100.0) == series.at(t)
 
+
+
+@st.composite
+def step_series(draw, name="s"):
+    """A random step series: sorted distinct record times in [0, 200),
+    values drawn from a few levels (so equal neighbours occur) or free."""
+    times = sorted(set(draw(st.lists(
+        st.floats(0.0, 200.0, exclude_max=True), min_size=1,
+        max_size=24))))
+    levels = st.sampled_from([0.0, 250.0, 1000.0, 1234.5]) | st.floats(
+        0.0, 5000.0)
+    values = draw(st.lists(levels, min_size=len(times),
+                           max_size=len(times)))
+    return StepSeries.from_arrays(name, np.array(times), np.array(values))
+
+
+@st.composite
+def epoch_windows(draw):
+    """``[start, end)`` windows meeting :func:`rotate_window`'s exact-span
+    contract: ``start == 0`` or ``end <= 2 * start``."""
+    if draw(st.booleans()):
+        return 0.0, draw(st.floats(1e-3, 250.0))
+    start = draw(st.floats(1e-3, 200.0))
+    return start, start + draw(st.floats(1e-3, 1.0)) * start
+
+
+def resolvable_segments(series, start, end):
+    """How many segments the window has, assuming each lasts at least
+    1e-6 s — far above the ~eps * end rounding of a shifted record
+    time.  A shorter segment can collapse to zero length when shifted,
+    and no rotation of it then keeps both its value and its energy."""
+    starts, ends, _values = coordination._window_segment_table(
+        series, start, end)
+    assume(bool(np.all(ends - starts >= 1e-6)))
+    return len(starts)
+
+
+offsets = st.sampled_from([0.0, 60.0]) | st.floats(0.0, 1000.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(series=step_series(), window=epoch_windows(), offset=offsets)
+def test_rotate_window_keeps_peak_and_energy(series, window, offset):
+    """Rotation permutes a window's segments: the peak comes back bit for
+    bit and the energy moves only by the rounding of the shifted
+    record times — each of order eps * end, at most two per segment
+    (plus the one split at the wrap)."""
+    start, end = window
+    segments = resolvable_segments(series, start, end)
+    tolerance = 16 * (segments + 1) * np.finfo(float).eps
+    rotated = coordination.rotate_window(series, offset, start, end)
+    peak = series.maximum(start, end)
+    assert rotated.maximum(start, end) == peak
+    assert abs(rotated.integral(start, end) - series.integral(start, end)) \
+        <= tolerance * peak * end
+
+
+@settings(max_examples=100, deadline=None)
+@given(members=st.lists(step_series(), min_size=1, max_size=5),
+       window=epoch_windows(), data=st.data())
+def test_guarded_apply_never_raises_the_window_peak(members, window, data):
+    """The apply step every tier shares (feeder, substation and online
+    epoch): with the guard on, the applied sum's peak over the window is
+    never above the baseline's, and a declined plan hands back the
+    baseline and un-rotated windows."""
+    start, end = window
+    for member in members:
+        resolvable_segments(member, start, end)
+    planned = data.draw(st.lists(offsets, min_size=len(members),
+                                 max_size=len(members)))
+    baseline = sum_series(members)
+    contributions, applied_sum, applied = coordination._apply_offsets(
+        members, planned, baseline, start, end, guard=True)
+    assert applied_sum.maximum(start, end) <= baseline.maximum(start, end)
+    if applied:
+        assert any(offset != 0.0 for offset in planned)
+        assert applied_sum.maximum(start, end) \
+            < baseline.maximum(start, end) - 1e-9
+    else:
+        assert applied_sum is baseline
+        for member, window_series in zip(members, contributions):
+            unrotated = coordination.rotate_window(member, 0.0, start, end)
+            assert list(window_series) == list(unrotated)
 
 # -- envelopes ----------------------------------------------------------------
 
